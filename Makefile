@@ -100,7 +100,7 @@ test:
 
 allocs:
 	$(GO) test -run 'TestAllocGuard' -v .
-	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineSteadyState' -benchmem ./internal/sim/
 
 audit:
 	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/experiment/

@@ -19,6 +19,9 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/faults"
 	"repro/internal/flows"
+	"repro/internal/netem"
+	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -264,6 +267,81 @@ func TestAllocGuardOpenLoop(t *testing.T) {
 	if perPacket > 1.0 {
 		t.Errorf("open-loop allocation regression: %.3f allocs per forwarded data packet "+
 			"(budget ≤ 1, flow churn must amortize away)", perPacket)
+	}
+}
+
+// TestAllocGuardSoloFCT: the solo baseline of the open-loop workload —
+// mice alone on the dumbbell, no elephants — is all churn: every segment
+// belongs to a connection that opens, transfers and closes mid-run. The
+// network's shared segment pool hands each new connection the records the
+// finished ones returned, so even this run holds the ≤ 1 alloc per
+// forwarded data packet budget.
+func TestAllocGuardSoloFCT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 2s of traffic; skipped in -short mode")
+	}
+	cfg := allocGuardConfig()
+	cfg.Flows = &flows.Spec{Populations: []flows.Population{
+		{Name: "mice", MeanArrival: 100 * time.Millisecond},
+	}}
+	cfg.SoloFCT = true
+
+	var last experiment.Result
+	allocs := testing.AllocsPerRun(2, func() {
+		res, err := experiment.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res
+	})
+	if last.FCT == nil || last.FCT.Completed == 0 {
+		t.Fatalf("solo mice workload inactive during alloc guard: %+v", last.FCT)
+	}
+	goodputBytes := (last.SenderBps[0]+last.SenderBps[1])*cfg.Duration.Seconds()/8 +
+		float64(last.FCT.Class("all").Bytes)
+	segments := goodputBytes / 8900
+	if segments < 100 {
+		t.Fatalf("implausibly few segments delivered: %.0f", segments)
+	}
+	perPacket := allocs / segments
+	t.Logf("allocs/run = %.0f over %.0f segments (%d flows churned) → %.3f allocs per forwarded data packet",
+		allocs, segments, last.FCT.Opened, perPacket)
+	if perPacket > 1.0 {
+		t.Errorf("solo-FCT allocation regression: %.3f allocs per forwarded data packet "+
+			"(budget ≤ 1; connections must draw segments from the network's shared pool)", perPacket)
+	}
+}
+
+// TestAllocGuardDelayLine: packets in propagation ride the port's delay
+// line, whose ring grows to the link's in-flight depth once and is reused
+// from then on. A 10 Gbps link with 10 ms of delay keeps a 2000-packet
+// burst in flight at once; after the first burst has grown the ring, a
+// steady-state burst must cost zero allocations end to end.
+func TestAllocGuardDelayLine(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sink := &netem.Sink{}
+	po := netem.NewPort(eng, "line", 10*units.GigabitPerSec, 10*time.Millisecond,
+		aqm.NewFIFO(1<<30), sink)
+	const burst = 2000
+	send := func() {
+		for i := 0; i < burst; i++ {
+			p := packet.New()
+			p.Kind = packet.Data
+			p.Size = 8960
+			po.Send(p)
+		}
+		eng.Run()
+	}
+	send() // grows the ring, the event pool and the packet pool
+	peak := 0
+	eng.ScheduleAt(eng.Now()+sim.Duration(5*time.Millisecond), func() { peak = eng.Pending() })
+	allocs := testing.AllocsPerRun(5, send)
+	if sink.Packets != 7*burst {
+		t.Fatalf("sink received %d packets, want %d", sink.Packets, 7*burst)
+	}
+	t.Logf("%.0f allocs per %d-packet burst; heap depth %d mid-flight", allocs, burst, peak)
+	if allocs != 0 {
+		t.Errorf("delay-line steady state allocates: %.0f allocs per %d-packet burst (want 0)", allocs, burst)
 	}
 }
 

@@ -92,12 +92,13 @@ func TestJitterSpreadsDelivery(t *testing.T) {
 }
 
 // jitterSeqs runs n sequence-stamped packets through a jittery port and
-// returns the sequence numbers in delivery order.
-func jitterSeqs(allowReorder bool, n int) []int64 {
+// returns the sequence numbers in delivery order and the deepest event heap
+// a delivery saw.
+func jitterSeqs(allowReorder bool, n int) (seqs []int64, peak int) {
 	eng := sim.NewEngine(7)
-	var seqs []int64
 	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
 		seqs = append(seqs, p.Seq)
+		peak = max(peak, eng.Pending())
 		packet.Release(p)
 	})
 	po := NewPort(eng, "jittery", 100*units.GigabitPerSec, 10*time.Millisecond,
@@ -110,15 +111,17 @@ func jitterSeqs(allowReorder bool, n int) []int64 {
 		po.Send(p)
 	}
 	eng.Run()
-	return seqs
+	return seqs, peak
 }
 
 // TestJitterMonotonicByDefault: a port models a FIFO link, so jitter must
 // not let a later packet draw a smaller delay and overtake an earlier one
-// unless reordering is explicitly enabled.
+// unless reordering is explicitly enabled. The clamped deliveries all ride
+// the port's delay line, so the event heap stays O(1) deep with every
+// packet in flight.
 func TestJitterMonotonicByDefault(t *testing.T) {
 	const n = 500
-	seqs := jitterSeqs(false, n)
+	seqs, peak := jitterSeqs(false, n)
 	if len(seqs) != n {
 		t.Fatalf("delivered %d of %d", len(seqs), n)
 	}
@@ -128,13 +131,18 @@ func TestJitterMonotonicByDefault(t *testing.T) {
 				seqs[i], seqs[i-1])
 		}
 	}
+	if peak > 4 {
+		t.Fatalf("heap peaked at %d entries with %d packets in flight; want O(1)", peak, n)
+	}
 }
 
 // TestJitterAllowReorderDoesReorder: the explicit knob must actually allow
 // inversions (packets at 100 Gbps serialize ~80 ns apart; 5 ms of jitter
-// makes inversions overwhelmingly likely over 500 packets).
+// makes inversions overwhelmingly likely over 500 packets). A delivery
+// earlier than the delay line's tail takes the heap instead, which is what
+// lets it overtake.
 func TestJitterAllowReorderDoesReorder(t *testing.T) {
-	seqs := jitterSeqs(true, 500)
+	seqs, peak := jitterSeqs(true, 500)
 	inversions := 0
 	for i := 1; i < len(seqs); i++ {
 		if seqs[i] < seqs[i-1] {
@@ -143,6 +151,9 @@ func TestJitterAllowReorderDoesReorder(t *testing.T) {
 	}
 	if inversions == 0 {
 		t.Fatal("AllowReorder(true) produced a perfectly ordered stream")
+	}
+	if peak < 100 {
+		t.Fatalf("heap peaked at %d entries: out-of-order deliveries did not take the heap", peak)
 	}
 }
 
@@ -344,6 +355,49 @@ func TestDelayStepShiftsDelivery(t *testing.T) {
 	}
 	if times[1] < times[0] {
 		t.Fatalf("non-monotonic delivery times: %v", times)
+	}
+}
+
+// TestDelayShrinkBehindInFlightBurst: shrinking the propagation delay
+// while a whole burst rides the port's delay line must not let the packets
+// sent after the step overtake it: they queue behind the line's tail.
+func TestDelayShrinkBehindInFlightBurst(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var seqs []int64
+	var times []sim.Time
+	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+		seqs = append(seqs, p.Seq)
+		times = append(times, now)
+		packet.Release(p)
+	})
+	po := NewPort(eng, "rtts", 100*units.GigabitPerSec, 10*time.Millisecond,
+		aqm.NewFIFO(1<<30), rec)
+	send := func(from int) {
+		for i := from; i < from+200; i++ {
+			p := data(1000)
+			p.Seq = int64(i)
+			po.Send(p)
+		}
+	}
+	send(0)
+	eng.RunFor(time.Millisecond) // the burst is serialized and propagating
+	if got := po.prop.Len(); got != 200 {
+		t.Fatalf("delay line holds %d packets mid-flight, want 200", got)
+	}
+	po.SetDelay(time.Microsecond)
+	send(200)
+	eng.Run()
+	if len(seqs) != 400 {
+		t.Fatalf("delivered %d of 400", len(seqs))
+	}
+	for i, s := range seqs {
+		if s != int64(i) {
+			t.Fatalf("delivery %d carried seq %d: the delay shrink overtook in-flight packets", i, s)
+		}
+	}
+	if times[200] < times[199] {
+		t.Fatalf("post-step packet delivered at %v, before the last in-flight one at %v",
+			times[200], times[199])
 	}
 }
 

@@ -55,6 +55,12 @@ type Port struct {
 	txDoneH  portTxDone
 	deliverH portDeliver
 
+	// prop is the link's delay line: packets in propagation queue here in
+	// delivery order, holding one engine heap entry between them. A
+	// delivery that would overtake the line's tail (jitter or a shrunk
+	// delay on a reordering link) is scheduled as its own event instead.
+	prop sim.Line
+
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
 	// Gilbert–Elliott bursty-loss chain; jitter adds a uniform extra delay
@@ -135,6 +141,7 @@ func NewPort(eng *sim.Engine, name string, rate units.Bandwidth, delay time.Dura
 	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst}
 	po.txDoneH.po = po
 	po.deliverH.po = po
+	po.prop.Init(eng, &po.deliverH)
 	if a := eng.Auditor(); a != nil {
 		po.aud = a
 		po.audSelfChecker, _ = queue.(aqm.SelfChecker)
@@ -563,7 +570,9 @@ func (h *portTxDone) OnEvent(arg any) {
 		}
 		po.lastDeliverAt = at
 		if at > now {
-			po.eng.ScheduleHandlerAt(at, &po.deliverH, p)
+			if !po.prop.PushAt(at, p) {
+				po.eng.ScheduleHandlerAt(at, &po.deliverH, p)
+			}
 		} else {
 			if po.aud != nil {
 				po.audInFlight--

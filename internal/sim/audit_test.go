@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"strings"
 	"testing"
 	"time"
@@ -149,17 +148,23 @@ func TestQuiescenceAcceptsFutureEvents(t *testing.T) {
 
 // TestAuditedHeapIntegrityAfterChurn cross-checks that heavy cancel/reset
 // churn under the auditor leaves a structurally valid heap (indices match
-// positions, parent ≤ child ordering).
+// positions, parent ≤ child ordering with the parent derived from the
+// heap's arity) and that every non-empty delay line has exactly its first
+// entry in the heap.
 func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 	e, a := auditedEngine()
 	rng := NewRNG(99)
 	var timers [8]Timer
+	var lines [4]Line
 	h := HandlerFunc(func(any) {})
 	for i := range timers {
 		timers[i].Init(e, h, i)
 	}
+	for i := range lines {
+		lines[i].Init(e, h)
+	}
 	for i := 0; i < 2000; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			e.ScheduleHandler(time.Duration(rng.Intn(1000))*time.Microsecond, h, nil)
 		case 1:
@@ -168,6 +173,11 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			timers[rng.Intn(len(timers))].Reset(time.Duration(rng.Intn(500)) * time.Microsecond)
 		case 3:
 			timers[rng.Intn(len(timers))].Stop()
+		case 4:
+			at := e.Now() + Duration(time.Duration(rng.Intn(1000))*time.Microsecond)
+			if l := &lines[rng.Intn(len(lines))]; !l.PushAt(at, nil) {
+				e.ScheduleHandlerAt(at, h, nil)
+			}
 		}
 		if i%97 == 0 {
 			e.RunFor(200 * time.Microsecond)
@@ -177,11 +187,34 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 		if ev.idx != i {
 			t.Fatalf("heap[%d] carries idx %d", i, ev.idx)
 		}
-		if parent := (i - 1) / 2; i > 0 && e.queue.Less(i, parent) {
+		if parent := (i - 1) / heapArity; i > 0 && before(ev, e.queue[parent]) {
 			t.Fatalf("heap order violated at %d", i)
 		}
 	}
+	for i := range lines {
+		checkLineHead(t, &lines[i])
+	}
 	e.Run()
 	a.Finish()
-	_ = heap.Interface(&e.queue) // the heap package contract is what the loop above re-derives
+}
+
+// checkLineHead asserts that a non-empty line's heap entry sits in the heap
+// at its recorded index, keyed to the line's first entry, and that an
+// empty line holds no heap entry.
+func checkLineHead(t *testing.T, l *Line) {
+	t.Helper()
+	if l.n == 0 {
+		if l.ev.idx >= 0 {
+			t.Fatalf("empty line still queued at heap index %d", l.ev.idx)
+		}
+		return
+	}
+	q := l.ev.eng.queue
+	if l.ev.idx < 0 || l.ev.idx >= len(q) || q[l.ev.idx] != &l.ev {
+		t.Fatalf("line with %d entries has no heap entry (idx %d)", l.n, l.ev.idx)
+	}
+	if first := l.ring[l.head]; l.ev.at != first.at || l.ev.seq != first.seq {
+		t.Fatalf("line head keyed (%v, %d), first entry is (%v, %d)",
+			l.ev.at, l.ev.seq, first.at, first.seq)
+	}
 }

@@ -1,6 +1,7 @@
 // Package sim implements the discrete-event simulation engine every other
-// subsystem runs on: a nanosecond-resolution virtual clock, a binary-heap
-// event queue with stable FIFO ordering for simultaneous events, and a
+// subsystem runs on: a nanosecond-resolution virtual clock, a typed 4-ary
+// event heap with stable FIFO ordering for simultaneous events, delay lines
+// that keep a link's in-flight deliveries out of the heap, and a
 // deterministic random number generator.
 //
 // One Engine is owned by exactly one goroutine; parallelism in the harness
@@ -9,7 +10,7 @@
 //
 // # Event ownership and pooling
 //
-// The engine offers three scheduling surfaces with different ownership
+// The engine offers four scheduling surfaces with different ownership
 // rules, chosen so the steady-state forwarding path performs zero heap
 // allocations per event:
 //
@@ -22,13 +23,20 @@
 //     owned by the engine, drawn from a per-engine free list, and returned
 //     to it as soon as the event fires. No handle is exposed, so these
 //     events cannot be cancelled; they are the right tool for fire-and-
-//     forget per-packet work (serialization done, propagation delivery).
+//     forget per-packet work (serialization done, a delivery that would
+//     overtake its delay line).
+//
+//   - Line: a caller-owned delay line for deliveries whose deadlines never
+//     decrease (a link's packets in propagation). Only its earliest entry
+//     is in the heap, so the heap stays O(lines + timers) deep however
+//     many packets are in flight. A push that would overtake the tail is
+//     refused, and the caller schedules it with ScheduleHandlerAt instead.
 //
 //   - Timer: a caller-owned, reusable timer for recurring deadlines (RTO,
 //     pacing release, delayed ACK, samplers). Its event storage is embedded
 //     in the Timer itself, so Reset/Stop never allocate: Reset reschedules
-//     in place via heap.Fix when the timer is already queued. A Timer must
-//     not be copied after Init (the heap holds a pointer into it).
+//     in place when the timer is already queued. A Timer must not be
+//     copied after Init (the heap holds a pointer into it).
 //
 // Cancelling (Event.Cancel, Timer.Stop) removes the entry from the heap
 // eagerly, so long runs that repeatedly rearm timers do not accumulate
@@ -36,7 +44,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -87,6 +94,7 @@ type Event struct {
 	arg any
 
 	eng    *Engine // owner, for eager heap removal on Cancel
+	line   *Line   // non-nil for a delay line's head entry
 	pooled bool    // engine-owned: recycled into the free list after firing
 }
 
@@ -97,7 +105,7 @@ func (e *Event) Cancel() {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	heap.Remove(&e.eng.queue, e.idx)
+	e.eng.queue.remove(e.idx)
 }
 
 // Pending reports whether the event is still queued.
@@ -113,35 +121,6 @@ func (e *Event) fire() {
 		return
 	}
 	e.h.OnEvent(e.arg)
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -195,7 +174,9 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Executed returns the number of events run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of queued events.
+// Pending returns the number of heap entries: queued events, armed timers,
+// and one per non-empty delay line. It does not count the entries waiting
+// behind a line's head, so it is not the number of packets in flight.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // FreeEvents returns the size of the pooled-event free list (telemetry and
@@ -271,7 +252,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{at: at, seq: e.seq, fn: fn, idx: -1, eng: e}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -310,7 +291,7 @@ func (e *Engine) ScheduleHandlerAt(at Time, h Handler, arg any) {
 	ev.h = h
 	ev.arg = arg
 	ev.pooled = true
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // release zeroes a pooled event and returns it to the free list.
@@ -392,9 +373,13 @@ func (e *Engine) RunUntil(end Time) {
 			e.aud.Failf("sim", "time-monotone",
 				"heap head due at %v is earlier than the clock %v", next.at, e.now)
 		}
-		heap.Pop(&e.queue)
 		e.now = next.at
 		e.executed++
+		if l := next.line; l != nil {
+			l.h.OnEvent(l.advance())
+			continue
+		}
+		e.queue.pop()
 		next.fire()
 		if next.pooled {
 			e.release(next)
@@ -436,8 +421,8 @@ func (t *Timer) Reset(delay time.Duration) {
 }
 
 // ResetAt is Reset with an absolute deadline. Times in the past are clamped
-// to now. When the timer is already queued it is rescheduled in place via
-// heap.Fix — no allocation, no dead entry left behind.
+// to now. When the timer is already queued it is rescheduled in place —
+// no allocation, no dead entry left behind.
 func (t *Timer) ResetAt(at Time) {
 	eng := t.ev.eng
 	if at < eng.now {
@@ -447,10 +432,10 @@ func (t *Timer) ResetAt(at Time) {
 	t.ev.at = at
 	t.ev.seq = eng.seq
 	if t.ev.idx >= 0 {
-		heap.Fix(&eng.queue, t.ev.idx)
+		eng.queue.fix(t.ev.idx, &t.ev)
 		return
 	}
-	heap.Push(&eng.queue, &t.ev)
+	eng.queue.push(&t.ev)
 }
 
 // Stop removes the timer from the queue if pending (eagerly — no dead entry
@@ -458,7 +443,7 @@ func (t *Timer) ResetAt(at Time) {
 // timer.
 func (t *Timer) Stop() {
 	if t.ev.idx >= 0 {
-		heap.Remove(&t.ev.eng.queue, t.ev.idx)
+		t.ev.eng.queue.remove(t.ev.idx)
 	}
 }
 

@@ -545,7 +545,7 @@ func BenchmarkEngineHandlerChained(b *testing.B) {
 
 func BenchmarkTimerReset(b *testing.B) {
 	// RTO-style rearming: Reset while pending reschedules in place via
-	// heap.Fix. Must report 0 allocs/op.
+	// a heap fix. Must report 0 allocs/op.
 	e := NewEngine(1)
 	var tm Timer
 	tm.Init(e, HandlerFunc(func(any) {}), nil)

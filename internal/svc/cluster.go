@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -20,8 +21,8 @@ type ClusterOptions struct {
 	// worker silent for longer than this is declared dead and its leases
 	// re-queued. Default 15s.
 	LeaseTTL time.Duration
-	// Heartbeat is the interval workers are told to heartbeat at. Default
-	// LeaseTTL/5.
+	// Heartbeat is the interval workers are told to heartbeat at, and the
+	// longest a lease request waits on an empty queue. Default LeaseTTL/5.
 	Heartbeat time.Duration
 	// LeaseBatch is the maximum configurations per lease. Bigger batches
 	// amortize RPCs; smaller ones bound how much work a worker death can
@@ -103,6 +104,10 @@ type Coordinator struct {
 	// (or RequeueQuarantined here) must be able to re-run them.
 	quarantine map[string]*quarantineRecord
 
+	// work is closed (and replaced) whenever configurations become
+	// pending, waking every lease request long-polling on an empty queue.
+	work chan struct{}
+
 	// now is injectable for deterministic expiry tests.
 	now func() time.Time
 
@@ -120,6 +125,7 @@ func NewCoordinator(opts ClusterOptions, cache *Cache) *Coordinator {
 		tasks:      make(map[string]*clusterTask),
 		leases:     make(map[string]*lease),
 		quarantine: make(map[string]*quarantineRecord),
+		work:       make(chan struct{}),
 		now:        time.Now,
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
@@ -189,6 +195,7 @@ func (c *Coordinator) requeueLeaseLocked(l *lease, cause string) (quarantined []
 	if w, ok := c.workers[l.worker]; ok && w.name != "" {
 		workerName = w.name
 	}
+	requeued := false
 	for _, t := range l.remaining {
 		if t.state == taskLeased && t.lease == l {
 			t.state = taskPending
@@ -204,8 +211,12 @@ func (c *Coordinator) requeueLeaseLocked(l *lease, cause string) (quarantined []
 				}
 			}
 			c.pending = append(c.pending, t)
+			requeued = true
 			c.c.configsRequeued++
 		}
+	}
+	if requeued {
+		c.signalWorkLocked()
 	}
 	l.remaining = map[string]*clusterTask{}
 	delete(c.leases, l.id)
@@ -307,7 +318,14 @@ func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int
 	t := &clusterTask{key: key, cfg: cfg, state: taskPending, waiters: []waiter{{j, idx}}}
 	c.tasks[key] = t
 	c.pending = append(c.pending, t)
+	c.signalWorkLocked()
 	c.mu.Unlock()
+}
+
+// signalWorkLocked wakes every lease request long-polling for work.
+func (c *Coordinator) signalWorkLocked() {
+	close(c.work)
+	c.work = make(chan struct{})
 }
 
 // ReleaseJob withdraws a cancelled job's interest in the given config keys.
@@ -375,6 +393,53 @@ func (c *Coordinator) heartbeat(workerID string) bool {
 	c.c.heartbeats++
 	return true
 }
+
+// lease grants a worker a lease like acquire, but when nothing is pending
+// it long-polls: it waits until work is enqueued or re-queued, until wait
+// (capped at the heartbeat interval, so the worker stays well inside its
+// TTL) elapses, or until ctx ends, and then tries once more. A worker that
+// polls an idle coordinator thus starts the moment a sweep is submitted
+// instead of a heartbeat later. wait <= 0 answers at once.
+func (c *Coordinator) lease(ctx context.Context, workerID string, max int, wait time.Duration) (leaseResponse, bool) {
+	var bound <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(min(wait, c.opts.Heartbeat))
+		defer t.Stop()
+		bound = t.C
+	}
+	for {
+		// Take the wake channel before looking at the queue, so work
+		// enqueued between the two still wakes this poll.
+		wake := c.workSignal()
+		resp, ok := c.acquire(workerID, max)
+		if !ok || len(resp.Configs) > 0 || wake == nil || bound == nil {
+			return resp, ok
+		}
+		select {
+		case <-wake:
+		case <-bound:
+			resp.RetryAfterNS = int64(leasePollRetry)
+			return resp, true
+		case <-ctx.Done():
+			return resp, true
+		}
+	}
+}
+
+// workSignal returns the channel the next pending work closes, or nil once
+// the coordinator is closed.
+func (c *Coordinator) workSignal() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	return c.work
+}
+
+// leasePollRetry is the retry hint after a long poll that found no work:
+// the poll itself already waited, so the worker may ask again promptly.
+const leasePollRetry = 10 * time.Millisecond
 
 // acquire grants a worker a lease over up to max pending configurations,
 // preferring the shard the consistent-hash ring assigns it, falling back to
@@ -550,6 +615,7 @@ func (c *Coordinator) Close() {
 	<-c.reapDone
 	c.mu.Lock()
 	c.closed = true
+	c.signalWorkLocked()
 	tasks := make([]*clusterTask, 0, len(c.tasks))
 	for _, t := range c.tasks {
 		tasks = append(tasks, t)
@@ -604,6 +670,10 @@ type registerResponse struct {
 
 type leaseRequest struct {
 	Max int `json:"max,omitempty"`
+	// WaitNS is how long the worker lets an empty lease request wait for
+	// work (the long poll; 0 = answer at once). The coordinator caps it at
+	// the heartbeat interval.
+	WaitNS int64 `json:"wait_ns,omitempty"`
 }
 
 type leaseResponse struct {
@@ -661,7 +731,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad lease body: %v", err)
 		return
 	}
-	resp, ok := c.acquire(r.PathValue("id"), req.Max)
+	resp, ok := c.lease(r.Context(), r.PathValue("id"), req.Max, time.Duration(req.WaitNS))
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown worker %q (re-register)", r.PathValue("id"))
 		return

@@ -623,3 +623,76 @@ func TestClusterQuarantineServedAndRequeue(t *testing.T) {
 		t.Fatalf("rehabilitated job errored: %+v", st3)
 	}
 }
+
+// TestClusterLeaseLongPoll: a lease request on an idle coordinator waits
+// for work instead of answering "retry after a heartbeat". Submitting a
+// sweep wakes it at once; with nothing submitted it answers empty when its
+// bound elapses or its request context ends, and a zero wait answers at
+// once, exactly as before long polls existed.
+func TestClusterLeaseLongPoll(t *testing.T) {
+	s, client, _ := newClusterServer(t,
+		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, Options{})
+	coord := s.cluster
+	reg := coord.register("poller")
+
+	type answer struct {
+		lr      leaseResponse
+		ok      bool
+		elapsed time.Duration
+	}
+	got := make(chan answer, 1)
+	go func() {
+		start := time.Now()
+		lr, ok := coord.lease(context.Background(), reg.WorkerID, 8, time.Minute)
+		got <- answer{lr, ok, time.Since(start)}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case a := <-got:
+		t.Fatalf("lease on an idle coordinator answered at once: %+v", a)
+	default:
+	}
+	if _, err := client.Submit(tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-got:
+		if !a.ok || len(a.lr.Configs) != 2 {
+			t.Fatalf("woken lease carried %d configs (ok=%v), want 2", len(a.lr.Configs), a.ok)
+		}
+		if hb := coord.opts.Heartbeat; a.elapsed >= hb {
+			t.Fatalf("lease took %v, a full heartbeat (%v): Submit did not wake it", a.elapsed, hb)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit did not wake the long-polling lease")
+	}
+
+	// The queue is dry again (the poller holds both configs, and a worker
+	// never steals from its own lease).
+	start := time.Now()
+	lr, ok := coord.lease(context.Background(), reg.WorkerID, 8, 50*time.Millisecond)
+	if !ok || len(lr.Configs) != 0 || time.Since(start) < 50*time.Millisecond {
+		t.Fatalf("bounded poll: %d configs, ok=%v after %v", len(lr.Configs), ok, time.Since(start))
+	}
+	if lr.RetryAfterNS != int64(leasePollRetry) {
+		t.Fatalf("RetryAfterNS after a full poll = %d, want %d", lr.RetryAfterNS, leasePollRetry)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	if lr, ok := coord.lease(ctx, reg.WorkerID, 8, time.Minute); !ok || len(lr.Configs) != 0 {
+		t.Fatalf("cancelled poll: %d configs, ok=%v", len(lr.Configs), ok)
+	}
+	if el := time.Since(start); el >= coord.opts.Heartbeat {
+		t.Fatalf("cancelled poll returned after %v, not at its context's end", el)
+	}
+
+	lr, ok = coord.lease(context.Background(), reg.WorkerID, 8, 0)
+	if !ok || len(lr.Configs) != 0 || lr.RetryAfterNS != int64(coord.opts.Heartbeat) {
+		t.Fatalf("zero-wait lease: %d configs, ok=%v, retry %d", len(lr.Configs), ok, lr.RetryAfterNS)
+	}
+	if _, ok := coord.lease(context.Background(), "nobody", 8, time.Minute); ok {
+		t.Fatal("unknown worker accepted")
+	}
+}

@@ -199,7 +199,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		var lr leaseResponse
-		err := w.post(ctx, "lease", "/v1/workers/"+w.workerID()+"/lease", leaseRequest{}, &lr)
+		err := w.post(ctx, "lease", "/v1/workers/"+w.workerID()+"/lease",
+			leaseRequest{WaitNS: int64(w.leaseWait())}, &lr)
 		if isNotFound(err) {
 			if err := w.registerLoop(ctx); err != nil {
 				return err
@@ -228,6 +229,19 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		w.workLease(ctx, lr)
 	}
+}
+
+// leaseWait is how long a lease request may long-poll an empty queue: one
+// heartbeat interval, kept under half the per-attempt RPC deadline so the
+// poll ends before the transport gives up on it.
+func (w *Worker) leaseWait() time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	wait := w.hb
+	if w.rp.PerTry > 0 {
+		wait = min(wait, w.rp.PerTry/2)
+	}
+	return wait
 }
 
 // registerLoop retries registration with backoff until it lands or ctx is

@@ -25,7 +25,35 @@ type Config struct {
 	// DelayedAck enables RFC 1122 delayed acknowledgements on the
 	// receiver side (every second in-order segment or 40 ms).
 	DelayedAck bool
+	// Segs is the segment pool the connection draws its outstanding-segment
+	// records from and returns them to. Connections of one network share
+	// it, so a short-lived connection starts on the records finished ones
+	// gave back. nil gives the connection a private pool.
+	Segs *SegPool
 }
+
+// SegPool recycles the sender's outstanding-segment records. It is not
+// safe for concurrent use: share one only among connections driven by one
+// engine.
+type SegPool struct {
+	free []*seg
+}
+
+// get returns a zeroed seg record for [seq, seq+length), allocating only
+// when the pool is empty.
+func (p *SegPool) get(seq, length int64) *seg {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		*s = seg{seq: seq, len: length}
+		return s
+	}
+	return &seg{seq: seq, len: length}
+}
+
+// put returns a record no connection references any more.
+func (p *SegPool) put(s *seg) { p.free = append(p.free, s) }
 
 func (cfg *Config) defaults() {
 	if cfg.MSS <= 0 {
@@ -36,6 +64,9 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.InitialCwnd <= 0 {
 		cfg.InitialCwnd = 10
+	}
+	if cfg.Segs == nil {
+		cfg.Segs = &SegPool{}
 	}
 }
 
@@ -74,11 +105,10 @@ type Conn struct {
 	done func(*Conn)          // optional completion callback
 
 	// Sender sequence state.
-	sndUna  int64
-	sndNxt  int64
-	segs    segDeque
-	rtxQ    []*seg
-	segFree []*seg // recycled seg records (zero-alloc steady state)
+	sndUna int64
+	sndNxt int64
+	segs   segDeque
+	rtxQ   []*seg
 
 	// Windows. cwnd and ssthresh are in bytes.
 	cwnd       int64
@@ -382,7 +412,7 @@ func (c *Conn) trySend() {
 			rtx.lost = false
 			c.transmit(rtx)
 		} else {
-			s := c.newSeg(c.sndNxt, segLen)
+			s := c.cfg.Segs.get(c.sndNxt, segLen)
 			c.sndNxt += segLen
 			c.segs.push(s)
 			c.transmit(s)
@@ -390,27 +420,15 @@ func (c *Conn) trySend() {
 	}
 }
 
-// newSeg fetches a zeroed seg record from the connection's free list (or
-// allocates when the list is empty) — steady state runs allocation-free.
-func (c *Conn) newSeg(seq, length int64) *seg {
-	if n := len(c.segFree); n > 0 {
-		s := c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-		*s = seg{seq: seq, len: length}
-		return s
-	}
-	return &seg{seq: seq, len: length}
-}
-
-// freeSeg recycles a fully-acknowledged seg. Segments still referenced by
-// the retransmission queue are left for the garbage collector instead
-// (recycling them would let a stale rtxQ entry alias a new segment).
+// freeSeg recycles a fully-acknowledged seg into the shared pool. Segments
+// still referenced by the retransmission queue are left for the garbage
+// collector instead (recycling them would let a stale rtxQ entry alias a
+// new segment, of this connection or of another one on the pool).
 func (c *Conn) freeSeg(s *seg) {
 	if s.inRtxQ {
 		return
 	}
-	c.segFree = append(c.segFree, s)
+	c.cfg.Segs.put(s)
 }
 
 // armPacing schedules the pacing release timer.

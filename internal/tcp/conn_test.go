@@ -357,3 +357,78 @@ func BenchmarkSingleFlowSecond(b *testing.B) {
 		n.eng.RunFor(time.Second)
 	}
 }
+
+// rtoPair runs two 3 MB transfers on one engine, each on its own path
+// with a delayed-ACK receiver, the second starting 7 ms after the first.
+// Each ACK path's delay jumps to 1 s for 100 ms mid-transfer, so the RTO
+// fires with the data delivered and its ACKs still in flight: the late
+// ACKs then acknowledge segments queued for retransmission, two at a
+// time. With shared set, both connections draw segments from one pool.
+func rtoPair(shared bool) (stats [2]Stats, done [2]sim.Time, pool *SegPool) {
+	eng := sim.NewEngine(1)
+	if shared {
+		pool = &SegPool{}
+	}
+	for k := 0; k < 2; k++ {
+		k := k
+		back := netem.NewPort(eng, "back", 100*units.GigabitPerSec, 5*time.Millisecond, nil, nil)
+		bott := netem.NewPort(eng, "bottleneck", 50*units.MegabitPerSec, 5*time.Millisecond,
+			aqm.NewFIFO(10*8960), nil)
+		id := packet.FlowID(k + 1)
+		conn := NewConn(eng, id, Config{LimitBytes: 3_000_000, Segs: pool},
+			&stubCC{}, func(p *packet.Packet) { bott.Send(p) })
+		rcv := NewDelayedAckReceiver(eng, id, 0, func(p *packet.Packet) { back.Send(p) })
+		bott.SetDst(rcv)
+		back.SetDst(conn)
+		conn.OnDone(func(c *Conn) { stats[k], done[k] = c.Stats(), eng.Now() })
+		eng.Schedule(time.Duration(7*k)*time.Millisecond, conn.Start)
+		eng.Schedule(time.Duration(150+40*k)*time.Millisecond, func() { back.SetDelay(time.Second) })
+		eng.Schedule(time.Duration(250+40*k)*time.Millisecond, func() { back.SetDelay(5 * time.Millisecond) })
+	}
+	eng.RunFor(30 * time.Second)
+	return stats, done, pool
+}
+
+// TestSharedSegPoolMatchesPrivatePools: connections recycling segments
+// through one pool behave exactly as with private pools, through spurious
+// RTOs and retransmission.
+func TestSharedSegPoolMatchesPrivatePools(t *testing.T) {
+	privStats, privDone, _ := rtoPair(false)
+	sharedStats, sharedDone, pool := rtoPair(true)
+	for k := 0; k < 2; k++ {
+		if privDone[k] == 0 {
+			t.Fatalf("flow %d never completed", k+1)
+		}
+		if privStats[k].RTOs == 0 || privStats[k].Retransmits == 0 {
+			t.Fatalf("flow %d: %d RTOs, %d retransmits; the test needs both", k+1,
+				privStats[k].RTOs, privStats[k].Retransmits)
+		}
+		if sharedStats[k] != privStats[k] || sharedDone[k] != privDone[k] {
+			t.Fatalf("flow %d: shared pool %+v done %v, private pools %+v done %v",
+				k+1, sharedStats[k], sharedDone[k], privStats[k], privDone[k])
+		}
+	}
+	if len(pool.free) == 0 {
+		t.Fatal("no segment records returned to the shared pool")
+	}
+}
+
+// TestFreeSegKeepsRtxQueuedSegmentsOutOfPool: a segment acknowledged while
+// still referenced by the retransmission queue is not recycled, so a
+// stale queue entry can never alias a segment another connection on the
+// pool has since drawn.
+func TestFreeSegKeepsRtxQueuedSegmentsOutOfPool(t *testing.T) {
+	pool := &SegPool{}
+	c := &Conn{cfg: Config{Segs: pool}}
+	queued := pool.get(0, 8900)
+	queued.inRtxQ = true
+	acked := pool.get(8900, 8900)
+	c.freeSeg(queued)
+	c.freeSeg(acked)
+	if len(pool.free) != 1 || pool.free[0] != acked {
+		t.Fatalf("pool holds %d records; want only the one no retransmission queue references", len(pool.free))
+	}
+	if s := pool.get(17800, 8900); s != acked || *s != (seg{seq: 17800, len: 8900}) {
+		t.Fatalf("pool handed out %+v, want the recycled record zeroed for its new range", *s)
+	}
+}
