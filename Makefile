@@ -7,7 +7,9 @@
 #   make test       — full suite under the race detector (covers the
 #                     experiment worker pool in internal/experiment/runner.go
 #                     and runs every audited/metamorphic suite)
-#   make allocs     — zero-allocation event-core gates; built with !race
+#   make allocs     — zero-allocation event-core and sender ACK-path gates
+#                     (BenchmarkConnAckDeepWindow: ~20k segments
+#                     outstanding); built with !race
 #                     (the race runtime changes the allocation profile).
 #                     Auditing and tracing are off here: the gates prove the
 #                     auditor and the telemetry tracer cost nothing when
@@ -101,6 +103,7 @@ test:
 allocs:
 	$(GO) test -run 'TestAllocGuard' -v .
 	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineSteadyState' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkConnAckDeepWindow' -benchmem ./internal/tcp/
 
 audit:
 	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/experiment/

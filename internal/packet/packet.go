@@ -36,35 +36,36 @@ type FlowID uint32
 
 // Packet is one frame in flight. Fields are plain data; ownership passes
 // along the forwarding path and back to the pool on Release.
+//
+// The fields every router hop touches (queueing, classification, CoDel
+// sojourn) come first and share one cache line; the endpoint-only fields
+// follow, with the flags packed at the end.
 type Packet struct {
-	Kind Kind
-	Flow FlowID
-	Size units.ByteSize // wire size including headers
-	ECN  ECN
+	Kind      Kind
+	ECN       ECN
+	Flow      FlowID
+	Size      units.ByteSize // wire size including headers
+	EnqueueAt sim.Time       // when it entered the current queue (CoDel sojourn)
 
 	// Data segment fields.
-	Seq     int64 // first byte carried
-	DataLen int64 // payload bytes
-	Retrans bool  // this is a retransmission
+	Seq     int64    // first byte carried
+	DataLen int64    // payload bytes
+	SentAt  sim.Time // when the sender transmitted it
 
 	// ACK fields.
-	CumAck    int64 // next byte expected by the receiver
-	SackSeq   int64 // highest out-of-order byte seen (simplified SACK)
-	AckedSeq  int64 // Seq of the segment that triggered this ACK
-	EchoCE    bool  // receiver saw CE on the acked segment
-	EchoSent  sim.Time
-	EchoAcked int64 // DataLen of segment that triggered this ACK
-
-	// Timestamps for delay accounting.
-	SentAt    sim.Time // when the sender transmitted it
-	EnqueueAt sim.Time // when it entered the current queue (CoDel sojourn)
+	CumAck   int64    // next byte expected by the receiver
+	AckedSeq int64    // Seq of the segment that triggered this ACK
+	EchoSent sim.Time // SentAt of the segment that triggered this ACK
 
 	// Delivery-rate sampling state copied from the sender at transmit time
 	// (per the BBR delivery-rate-estimation draft).
 	Delivered     int64    // connection's delivered counter at send
 	DeliveredTime sim.Time // when that counter was last advanced
 	FirstSentTime sim.Time // send time of the first packet of this sample window
-	AppLimited    bool
+
+	Retrans    bool // data: this is a retransmission
+	EchoCE     bool // ACK: receiver saw CE on the acked segment
+	AppLimited bool // rate sample: sender was application-limited at send
 }
 
 func (p *Packet) String() string {

@@ -3,7 +3,29 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPacketLayout pins the field order the forwarding path relies on:
+// everything a router hop touches (Kind, ECN, Flow, Size, EnqueueAt) sits
+// in the first 64-byte cache line, and the packet stays small.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if end := unsafe.Offsetof(p.EnqueueAt) + unsafe.Sizeof(p.EnqueueAt); end > 64 {
+		t.Errorf("EnqueueAt ends at byte %d; the per-hop fields must fit one cache line", end)
+	}
+	for name, off := range map[string]uintptr{
+		"Kind": unsafe.Offsetof(p.Kind), "ECN": unsafe.Offsetof(p.ECN),
+		"Flow": unsafe.Offsetof(p.Flow), "Size": unsafe.Offsetof(p.Size),
+	} {
+		if off >= unsafe.Offsetof(p.EnqueueAt) {
+			t.Errorf("%s at byte %d, after EnqueueAt", name, off)
+		}
+	}
+	if sz := unsafe.Sizeof(p); sz > 112 {
+		t.Errorf("Packet is %d bytes, want at most 112", sz)
+	}
+}
 
 func TestPoolReuseZeroes(t *testing.T) {
 	p := New()

@@ -15,45 +15,21 @@ import (
 // Config parameterizes a connection. Zero values select the paper's setup:
 // 8900-byte jumbo payloads, 60-byte headers, IW10.
 type Config struct {
-	MSS         units.ByteSize // payload bytes per segment (default 8900)
+	// MSS is the payload bytes per segment (default 8900). Every segment
+	// but a limited transfer's last is exactly MSS long, which lets the
+	// sender locate the segment an ACK names by index arithmetic.
+	MSS         units.ByteSize
 	Header      units.ByteSize // per-packet header overhead (default 60)
 	InitialCwnd int            // initial window in segments (default 10)
 	ECN         bool           // negotiate ECT(0) on data packets
 	// LimitBytes stops the transfer after this many payload bytes
-	// (0 = unlimited elephant flow).
+	// (0 = unlimited elephant flow). It need not be a multiple of MSS: the
+	// final segment then carries the remainder.
 	LimitBytes int64
 	// DelayedAck enables RFC 1122 delayed acknowledgements on the
 	// receiver side (every second in-order segment or 40 ms).
 	DelayedAck bool
-	// Segs is the segment pool the connection draws its outstanding-segment
-	// records from and returns them to. Connections of one network share
-	// it, so a short-lived connection starts on the records finished ones
-	// gave back. nil gives the connection a private pool.
-	Segs *SegPool
 }
-
-// SegPool recycles the sender's outstanding-segment records. It is not
-// safe for concurrent use: share one only among connections driven by one
-// engine.
-type SegPool struct {
-	free []*seg
-}
-
-// get returns a zeroed seg record for [seq, seq+length), allocating only
-// when the pool is empty.
-func (p *SegPool) get(seq, length int64) *seg {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		*s = seg{seq: seq, len: length}
-		return s
-	}
-	return &seg{seq: seq, len: length}
-}
-
-// put returns a record no connection references any more.
-func (p *SegPool) put(s *seg) { p.free = append(p.free, s) }
 
 func (cfg *Config) defaults() {
 	if cfg.MSS <= 0 {
@@ -65,20 +41,17 @@ func (cfg *Config) defaults() {
 	if cfg.InitialCwnd <= 0 {
 		cfg.InitialCwnd = 10
 	}
-	if cfg.Segs == nil {
-		cfg.Segs = &SegPool{}
-	}
 }
 
-// seg tracks one outstanding segment on the sender.
+// seg tracks one outstanding segment on the sender. It is held by value in
+// the segment ring (32 bytes, two to a cache line).
 type seg struct {
 	seq        int64
 	len        int64
 	lastSentAt sim.Time
-	sentCount  int
+	sentCount  int32
 	lost       bool // marked lost, awaiting retransmission
 	sacked     bool // delivered out of order (selectively acknowledged)
-	inRtxQ     bool // referenced by rtxQ; must not be recycled while set
 }
 
 // Stats is a snapshot of a connection's counters.
@@ -108,7 +81,7 @@ type Conn struct {
 	sndUna int64
 	sndNxt int64
 	segs   segDeque
-	rtxQ   []*seg
+	rtxQ   seqQueue // starts of segments marked lost, in marking order
 
 	// Windows. cwnd and ssthresh are in bytes.
 	cwnd       int64
@@ -185,10 +158,11 @@ func NewConn(eng *sim.Engine, id packet.FlowID, cfg Config, cc CongestionControl
 const auditDeepCheckEvery = 64
 
 // auditSeqSpace walks the outstanding segment list and checks the sender's
-// sequence-space invariants: segments contiguous and sorted, the list
-// spanning exactly [sndUna, sndNxt), and the inflight byte count derived
-// from segment flags (not lost, not sacked) matching the count the
-// congestion controller sees.
+// sequence-space invariants: segments contiguous and sorted, every one but
+// the last exactly MSS long (segDeque.find relies on it), the list spanning
+// exactly [sndUna, sndNxt), and the inflight byte count derived from
+// segment flags (not lost, not sacked) matching the count the congestion
+// controller sees.
 func (c *Conn) auditSeqSpace() error {
 	n := c.segs.len()
 	if n == 0 {
@@ -204,6 +178,10 @@ func (c *Conn) auditSeqSpace() error {
 			if next := c.segs.at(i + 1); s.seq+s.len != next.seq {
 				return fmt.Errorf("conn %d: segment list not contiguous: [%d..%d) then [%d..%d)",
 					c.id, s.seq, s.seq+s.len, next.seq, next.seq+next.len)
+			}
+			if s.len != c.MSS() {
+				return fmt.Errorf("conn %d: segment [%d..%d) is %d bytes but not the last; want MSS=%d",
+					c.id, s.seq, s.seq+s.len, s.len, c.MSS())
 			}
 		}
 		if !s.lost && !s.sacked {
@@ -372,14 +350,12 @@ func (c *Conn) trySend() {
 	for {
 		// Pick what to send: retransmissions take priority.
 		var rtx *seg
-		for len(c.rtxQ) > 0 {
-			s := c.rtxQ[0]
-			if s.lost && !s.sacked && s.seq+s.len > c.sndUna { // still relevant
+		for c.rtxQ.len() > 0 {
+			if s := c.segs.find(c.rtxQ.front(), c.MSS()); s != nil && s.lost && !s.sacked { // still relevant
 				rtx = s
 				break
 			}
-			s.inRtxQ = false
-			c.rtxQ = c.rtxQ[1:]
+			c.rtxQ.pop()
 		}
 		var segLen int64
 		if rtx != nil {
@@ -407,28 +383,15 @@ func (c *Conn) trySend() {
 		}
 
 		if rtx != nil {
-			rtx.inRtxQ = false
-			c.rtxQ = c.rtxQ[1:]
+			c.rtxQ.pop()
 			rtx.lost = false
 			c.transmit(rtx)
 		} else {
-			s := c.cfg.Segs.get(c.sndNxt, segLen)
+			s := c.segs.push(seg{seq: c.sndNxt, len: segLen})
 			c.sndNxt += segLen
-			c.segs.push(s)
 			c.transmit(s)
 		}
 	}
-}
-
-// freeSeg recycles a fully-acknowledged seg into the shared pool. Segments
-// still referenced by the retransmission queue are left for the garbage
-// collector instead (recycling them would let a stale rtxQ entry alias a
-// new segment, of this connection or of another one on the pool).
-func (c *Conn) freeSeg(s *seg) {
-	if s.inRtxQ {
-		return
-	}
-	c.cfg.Segs.put(s)
 }
 
 // armPacing schedules the pacing release timer.
@@ -439,9 +402,11 @@ func (c *Conn) armPacing() {
 	c.paceTimer.ResetAt(c.nextSendAt)
 }
 
-// transmit puts one segment on the wire.
+// transmit puts one segment on the wire. s points into the segment ring,
+// so it is not read once the packet is injected.
 func (c *Conn) transmit(s *seg) {
 	now := c.eng.Now()
+	segLen := s.len
 	if c.aud != nil {
 		if s.sacked {
 			c.aud.Failf("tcp", "retransmit-sacked",
@@ -463,8 +428,8 @@ func (c *Conn) transmit(s *seg) {
 	p.Kind = packet.Data
 	p.Flow = c.id
 	p.Seq = s.seq
-	p.DataLen = s.len
-	p.Size = units.ByteSize(s.len) + c.cfg.Header
+	p.DataLen = segLen
+	p.Size = units.ByteSize(segLen) + c.cfg.Header
 	p.SentAt = now
 	p.Retrans = s.sentCount > 1
 	if c.cfg.ECN {
@@ -475,8 +440,8 @@ func (c *Conn) transmit(s *seg) {
 	p.FirstSentTime = c.firstSentTime
 	p.AppLimited = c.appLimited
 
-	c.inflight += s.len
-	c.stats.BytesSent += s.len
+	c.inflight += segLen
+	c.stats.BytesSent += segLen
 	if s.sentCount > 1 {
 		c.stats.Retransmits++
 	}
@@ -491,7 +456,7 @@ func (c *Conn) transmit(s *seg) {
 	c.appLimited = false
 	c.inj(p)
 	c.armRTO()
-	c.cc.OnPacketSent(c, s.len)
+	c.cc.OnPacketSent(c, segLen)
 }
 
 // --- receiving ACKs ---
@@ -529,7 +494,7 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 	// blocks the cumulative ACK. Without this, RACK marking would declare
 	// every not-yet-cum-ACKed segment above a hole lost and flood the
 	// path with spurious retransmissions.
-	if s := c.segs.find(p.AckedSeq); s != nil && !s.sacked {
+	if s := c.segs.find(p.AckedSeq, c.MSS()); s != nil && !s.sacked {
 		s.sacked = true
 		if s.lost {
 			s.lost = false // it arrived after all; don't retransmit
@@ -561,7 +526,7 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 				c.delivered += s.len
 				c.deliveredTime = now
 			}
-			c.freeSeg(c.segs.pop())
+			c.segs.pop()
 		}
 	}
 
@@ -643,7 +608,7 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 	// receiver only ACKs on data arrival), so the timer restarts on every
 	// ACK while data is outstanding — mirroring Linux's rearm on SACK
 	// progress. A true blackhole produces no ACKs and still times out.
-	if c.segs.len() == 0 && len(c.rtxQ) == 0 {
+	if c.segs.len() == 0 && c.rtxQ.len() == 0 {
 		c.rtoTimer.Stop()
 	} else {
 		c.rearmRTO()
@@ -676,10 +641,9 @@ func (c *Conn) markLost(trigSentAt sim.Time) int64 {
 		}
 		if s.lastSentAt < trigSentAt {
 			s.lost = true
-			s.inRtxQ = true
 			c.inflight -= s.len
 			lost += s.len
-			c.rtxQ = append(c.rtxQ, s)
+			c.rtxQ.push(s.seq)
 		} else {
 			break
 		}
@@ -706,7 +670,7 @@ func (c *Conn) onRTO() {
 	if c.stopped {
 		return
 	}
-	if c.segs.len() == 0 && len(c.rtxQ) == 0 {
+	if c.segs.len() == 0 && c.rtxQ.len() == 0 {
 		return // nothing outstanding
 	}
 	c.stats.RTOs++
@@ -718,19 +682,17 @@ func (c *Conn) onRTO() {
 
 	// Everything outstanding and undelivered is presumed lost; rebuild the
 	// retransmission queue in sequence order.
-	c.rtxQ = c.rtxQ[:0]
+	c.rtxQ.reset()
 	for i := 0; i < c.segs.len(); i++ {
 		s := c.segs.at(i)
 		if s.sacked {
-			s.inRtxQ = false // no longer referenced by the emptied rtxQ
-			continue         // already delivered; nothing to resend
+			continue // already delivered; nothing to resend
 		}
 		if !s.lost {
 			s.lost = true
 			c.inflight -= s.len
 		}
-		s.inRtxQ = true
-		c.rtxQ = append(c.rtxQ, s)
+		c.rtxQ.push(s.seq)
 	}
 	c.inflight = 0
 	c.inRecovery = false
@@ -739,64 +701,86 @@ func (c *Conn) onRTO() {
 	c.trySend()
 }
 
-// segDeque is a growable ring of outstanding segments ordered by sequence.
+// segDeque is a growable ring of outstanding segments, held by value and
+// ordered by sequence. Its capacity is zero or a power of two, so indices
+// wrap with a mask.
 type segDeque struct {
-	buf  []*seg
+	buf  []seg
 	head int
 	n    int
 }
 
 func (d *segDeque) len() int { return d.n }
 
-func (d *segDeque) at(i int) *seg { return d.buf[(d.head+i)%len(d.buf)] }
+// at returns the i-th outstanding segment. The pointer is valid until the
+// next push.
+func (d *segDeque) at(i int) *seg { return &d.buf[(d.head+i)&(len(d.buf)-1)] }
 
 func (d *segDeque) front() *seg {
 	if d.n == 0 {
 		return nil
 	}
-	return d.buf[d.head]
+	return &d.buf[d.head]
 }
 
-func (d *segDeque) push(s *seg) {
+// push appends s at the tail and returns the stored copy.
+func (d *segDeque) push(s seg) *seg {
 	if d.n == len(d.buf) {
-		nb := make([]*seg, max(16, len(d.buf)*2))
-		for i := 0; i < d.n; i++ {
-			nb[i] = d.at(i)
-		}
+		nb := make([]seg, max(16, 2*len(d.buf)))
+		k := copy(nb, d.buf[d.head:])
+		copy(nb[k:], d.buf[:d.head])
 		d.buf = nb
 		d.head = 0
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = s
+	p := d.at(d.n)
+	*p = s
 	d.n++
+	return p
+}
+
+// pop drops the front segment.
+func (d *segDeque) pop() {
+	if d.n == 0 {
+		return
+	}
+	d.head = (d.head + 1) & (len(d.buf) - 1)
+	d.n--
 }
 
 // find returns the outstanding segment starting at seq, or nil. Segments
-// are stored in increasing sequence order, so a binary search suffices.
-func (d *segDeque) find(seq int64) *seg {
-	lo, hi := 0, d.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.at(mid).seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < d.n {
-		if s := d.at(lo); s.seq == seq {
-			return s
-		}
-	}
-	return nil
-}
-
-func (d *segDeque) pop() *seg {
+// are contiguous and every one but the last is exactly mss long, so the
+// one starting at seq, if any, has index (seq - front.seq) / mss.
+func (d *segDeque) find(seq, mss int64) *seg {
 	if d.n == 0 {
 		return nil
 	}
-	s := d.buf[d.head]
-	d.buf[d.head] = nil
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
-	return s
+	off := seq - d.buf[d.head].seq
+	if off < 0 || off%mss != 0 || off/mss >= int64(d.n) {
+		return nil
+	}
+	return d.at(int(off / mss))
 }
+
+// seqQueue is the retransmission queue: the starting sequence numbers of
+// segments marked lost, in marking order. Entries are consumed through a
+// head index; a push into a full buffer first slides the live entries down
+// over the consumed ones, so the buffer grows only with the live count.
+type seqQueue struct {
+	q    []int64
+	head int
+}
+
+func (r *seqQueue) len() int { return len(r.q) - r.head }
+
+func (r *seqQueue) front() int64 { return r.q[r.head] }
+
+func (r *seqQueue) pop() { r.head++ }
+
+func (r *seqQueue) push(seq int64) {
+	if r.head > 0 && len(r.q) == cap(r.q) {
+		r.q, r.head = r.q[:copy(r.q, r.q[r.head:])], 0
+	}
+	r.q = append(r.q, seq)
+}
+
+func (r *seqQueue) reset() { r.q, r.head = r.q[:0], 0 }

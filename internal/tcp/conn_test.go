@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -298,19 +299,23 @@ func TestECNEchoTriggersCongestionEvent(t *testing.T) {
 
 func TestSegDeque(t *testing.T) {
 	var d segDeque
-	if d.front() != nil || d.pop() != nil {
-		t.Fatal("empty deque should return nil")
+	d.pop() // no-op on an empty deque
+	if d.front() != nil || d.len() != 0 {
+		t.Fatal("empty deque should have no front")
 	}
 	for i := 0; i < 100; i++ {
-		d.push(&seg{seq: int64(i)})
-	}
-	for i := 0; i < 40; i++ {
-		if s := d.pop(); s.seq != int64(i) {
-			t.Fatalf("pop %d got %d", i, s.seq)
+		if s := d.push(seg{seq: int64(i)}); s.seq != int64(i) {
+			t.Fatalf("push %d stored %d", i, s.seq)
 		}
 	}
+	for i := 0; i < 40; i++ {
+		if s := d.front(); s.seq != int64(i) {
+			t.Fatalf("front before pop %d is %d", i, s.seq)
+		}
+		d.pop()
+	}
 	for i := 100; i < 200; i++ {
-		d.push(&seg{seq: int64(i)})
+		d.push(seg{seq: int64(i)})
 	}
 	if d.len() != 160 {
 		t.Fatalf("len = %d", d.len())
@@ -319,6 +324,76 @@ func TestSegDeque(t *testing.T) {
 		if d.at(i).seq != int64(40+i) {
 			t.Fatalf("at(%d) = %d", i, d.at(i).seq)
 		}
+	}
+	// Segments are held by value: a write through at is seen by find.
+	d.at(5).sacked = true
+	if s := d.find(45, 1); s == nil || !s.sacked {
+		t.Fatalf("find(45) = %+v, want the sacked segment", s)
+	}
+}
+
+// linearFind is the reference segDeque.find is checked against: the
+// outstanding segment starting exactly at seq, by a scan of every one.
+func linearFind(d *segDeque, seq int64) *seg {
+	for i := 0; i < d.len(); i++ {
+		if s := d.at(i); s.seq == seq {
+			return s
+		}
+	}
+	return nil
+}
+
+// TestSegDequeFindMatchesLinearScan: the index-arithmetic lookup returns
+// exactly what a linear scan does, through random pushes and pops, ring
+// wraparound and growth, a short last segment, and lookups below the head,
+// above the tail and between segment starts.
+func TestSegDequeFindMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	wrapped := 0
+	for trial := 0; trial < 200; trial++ {
+		mss := int64(500 + rng.Intn(9000))
+		limit := int64(1+rng.Intn(300)) * mss
+		if trial%2 == 0 { // LimitBytes not a multiple of MSS: short last segment
+			limit -= 1 + rng.Int63n(mss-1)
+		}
+		var d segDeque
+		var next int64
+		for step := 0; step < 600; step++ {
+			if next < limit && (d.len() == 0 || rng.Intn(3) > 0) {
+				n := min(mss, limit-next)
+				d.push(seg{seq: next, len: n})
+				next += n
+			} else {
+				d.pop()
+			}
+			if d.head+d.len() > len(d.buf) {
+				wrapped++
+			}
+			var lo int64
+			if f := d.front(); f != nil {
+				lo = f.seq
+			}
+			for k := 0; k < 8; k++ {
+				var seq int64
+				switch k % 4 {
+				case 0: // a segment start, possibly popped or not yet sent
+					seq = (lo/mss + int64(rng.Intn(40)) - 20) * mss
+				case 1: // anywhere around the outstanding range
+					seq = lo - 3*mss + rng.Int63n(next-lo+6*mss+1)
+				case 2: // the tail and just past it
+					seq = next - mss + int64(rng.Intn(3))*mss
+				default: // off by one byte from a start
+					seq = lo + int64(rng.Intn(d.len()+1))*mss + int64(rng.Intn(3)) - 1
+				}
+				if got, want := d.find(seq, mss), linearFind(&d, seq); got != want {
+					t.Fatalf("trial %d step %d: find(%d) with mss %d over [%d..%d) = %p, linear scan %p",
+						trial, step, seq, mss, lo, next, got, want)
+				}
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("the ring never wrapped; the test does not exercise masked indexing")
 	}
 }
 
@@ -358,24 +433,60 @@ func BenchmarkSingleFlowSecond(b *testing.B) {
 	}
 }
 
+// BenchmarkConnAckDeepWindow measures the sender's per-ACK work with about
+// 20k segments outstanding, the window a 25 Gbps path with a 62 ms RTT
+// holds in jumbo frames. Each op delivers one ACK that cumulatively
+// acknowledges the front segment and names a segment at a pseudo-random
+// depth, as a selective acknowledgement; the sender refills the freed
+// window with new segments, so it stays deep. It must not allocate.
+func BenchmarkConnAckDeepWindow(b *testing.B) {
+	const window = 20_000
+	eng := sim.NewEngine(1)
+	eng.RunFor(time.Millisecond) // nonzero transmit times, echoed by the ACKs
+	c := NewConn(eng, 1, Config{}, &stubCC{fixedCwnd: window * 8900}, packet.Release)
+	c.Start()
+	mss := c.MSS()
+	x := uint64(88172645463325252)
+	ack := func() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		p := packet.New()
+		p.Kind = packet.Ack
+		p.Flow = 1
+		p.CumAck = c.sndUna + mss
+		p.AckedSeq = c.sndUna + int64(x%window)*mss
+		p.EchoSent = eng.Now()
+		c.Receive(eng.Now(), p)
+	}
+	for i := 0; i < 4*window; i++ { // reach the steady-state ring size
+		ack()
+	}
+	if n := c.segs.len(); n < window {
+		b.Fatalf("%d segments outstanding, want at least %d", n, window)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ack()
+	}
+}
+
 // rtoPair runs two 3 MB transfers on one engine, each on its own path
 // with a delayed-ACK receiver, the second starting 7 ms after the first.
 // Each ACK path's delay jumps to 1 s for 100 ms mid-transfer, so the RTO
 // fires with the data delivered and its ACKs still in flight: the late
 // ACKs then acknowledge segments queued for retransmission, two at a
-// time. With shared set, both connections draw segments from one pool.
-func rtoPair(shared bool) (stats [2]Stats, done [2]sim.Time, pool *SegPool) {
+// time.
+func rtoPair() (stats [2]Stats, done [2]sim.Time) {
 	eng := sim.NewEngine(1)
-	if shared {
-		pool = &SegPool{}
-	}
 	for k := 0; k < 2; k++ {
 		k := k
 		back := netem.NewPort(eng, "back", 100*units.GigabitPerSec, 5*time.Millisecond, nil, nil)
 		bott := netem.NewPort(eng, "bottleneck", 50*units.MegabitPerSec, 5*time.Millisecond,
 			aqm.NewFIFO(10*8960), nil)
 		id := packet.FlowID(k + 1)
-		conn := NewConn(eng, id, Config{LimitBytes: 3_000_000, Segs: pool},
+		conn := NewConn(eng, id, Config{LimitBytes: 3_000_000},
 			&stubCC{}, func(p *packet.Packet) { bott.Send(p) })
 		rcv := NewDelayedAckReceiver(eng, id, 0, func(p *packet.Packet) { back.Send(p) })
 		bott.SetDst(rcv)
@@ -386,49 +497,26 @@ func rtoPair(shared bool) (stats [2]Stats, done [2]sim.Time, pool *SegPool) {
 		eng.Schedule(time.Duration(250+40*k)*time.Millisecond, func() { back.SetDelay(5 * time.Millisecond) })
 	}
 	eng.RunFor(30 * time.Second)
-	return stats, done, pool
+	return stats, done
 }
 
-// TestSharedSegPoolMatchesPrivatePools: connections recycling segments
-// through one pool behave exactly as with private pools, through spurious
-// RTOs and retransmission.
-func TestSharedSegPoolMatchesPrivatePools(t *testing.T) {
-	privStats, privDone, _ := rtoPair(false)
-	sharedStats, sharedDone, pool := rtoPair(true)
+// TestSpuriousRTOLateAcksPinned: a spurious RTO followed by late ACKs for
+// segments already queued for retransmission reproduces, counter for
+// counter and to the nanosecond, the transfers recorded before the
+// retransmission queue held sequence numbers instead of segment pointers.
+func TestSpuriousRTOLateAcksPinned(t *testing.T) {
+	want := [2]Stats{
+		{BytesSent: 3053400, BytesAcked: 3000000, Retransmits: 6, RTOs: 2, Acks: 289,
+			MinRTT: 11433604, SRTT: 51269604, DeliveryRate: 111728},
+		{BytesSent: 3053400, BytesAcked: 3000000, Retransmits: 6, RTOs: 2, Acks: 277,
+			MinRTT: 11433604, SRTT: 51269604, DeliveryRate: 111728},
+	}
+	wantDone := [2]sim.Time{12888245716, 11695245620}
+	stats, done := rtoPair()
 	for k := 0; k < 2; k++ {
-		if privDone[k] == 0 {
-			t.Fatalf("flow %d never completed", k+1)
+		if stats[k] != want[k] || done[k] != wantDone[k] {
+			t.Errorf("flow %d: %+v done %d; want %+v done %d",
+				k+1, stats[k], done[k], want[k], wantDone[k])
 		}
-		if privStats[k].RTOs == 0 || privStats[k].Retransmits == 0 {
-			t.Fatalf("flow %d: %d RTOs, %d retransmits; the test needs both", k+1,
-				privStats[k].RTOs, privStats[k].Retransmits)
-		}
-		if sharedStats[k] != privStats[k] || sharedDone[k] != privDone[k] {
-			t.Fatalf("flow %d: shared pool %+v done %v, private pools %+v done %v",
-				k+1, sharedStats[k], sharedDone[k], privStats[k], privDone[k])
-		}
-	}
-	if len(pool.free) == 0 {
-		t.Fatal("no segment records returned to the shared pool")
-	}
-}
-
-// TestFreeSegKeepsRtxQueuedSegmentsOutOfPool: a segment acknowledged while
-// still referenced by the retransmission queue is not recycled, so a
-// stale queue entry can never alias a segment another connection on the
-// pool has since drawn.
-func TestFreeSegKeepsRtxQueuedSegmentsOutOfPool(t *testing.T) {
-	pool := &SegPool{}
-	c := &Conn{cfg: Config{Segs: pool}}
-	queued := pool.get(0, 8900)
-	queued.inRtxQ = true
-	acked := pool.get(8900, 8900)
-	c.freeSeg(queued)
-	c.freeSeg(acked)
-	if len(pool.free) != 1 || pool.free[0] != acked {
-		t.Fatalf("pool holds %d records; want only the one no retransmission queue references", len(pool.free))
-	}
-	if s := pool.get(17800, 8900); s != acked || *s != (seg{seq: 17800, len: 8900}) {
-		t.Fatalf("pool handed out %+v, want the recycled record zeroed for its new range", *s)
 	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -50,13 +51,60 @@ func (m *ackMangler) Receive(now sim.Time, p *packet.Packet) {
 	}
 }
 
+// fuzzTransferBytes is the fuzzed transfer's length: not a multiple of the
+// 8900-byte MSS, so its last segment is short.
+const fuzzTransferBytes = 120_000
+
+// rtoShortTailSeed sets no random loss, drops the first 8 ACKs and passes
+// the next 200. The first flight is all 14 segments; the 64 kB bottleneck
+// queue drops the last 6, the mangler the ACKs of the other 8, so the RTO
+// fires with every segment outstanding, the short last one included, and
+// the retransmissions complete the transfer.
+var rtoShortTailSeed = append(append([]byte{0}, make([]byte, 8)...), bytes.Repeat([]byte{255}, 200)...)
+
+// mangledTransfer runs the fuzz harness's transfer: a sender and receiver
+// over a 50 Mbps bottleneck, where byte 0 of data sets a random-loss rate
+// on the data direction and the rest schedules ACK drops, delays and
+// reorderings. The invariant auditor rides along and panics on any
+// violation during the run.
+func mangledTransfer(data []byte) (*Conn, *Receiver, *audit.Auditor) {
+	eng := sim.NewEngine(1)
+	aud := audit.New("fuzz-conn-ack")
+	eng.SetAuditor(aud)
+
+	owd := 5 * time.Millisecond
+	back := netem.NewPort(eng, "back", 10*units.GigabitPerSec, owd, nil, nil)
+	bott := netem.NewPort(eng, "bottleneck", 50*units.MegabitPerSec, owd,
+		aqm.NewFIFO(64_000), nil)
+	if len(data) > 0 {
+		bott.SetLoss(float64(data[0]%52) / 256) // up to ~20% data loss
+	}
+
+	cc := &stubCC{fixedCwnd: 0}
+	conn := NewConn(eng, 1, Config{LimitBytes: fuzzTransferBytes}, cc, func(p *packet.Packet) { bott.Send(p) })
+	conn.SetCwnd(32 * conn.MSS())
+	rcv := NewReceiver(eng, 1, Config{}.Header, func(p *packet.Packet) { back.Send(p) })
+	bott.SetDst(rcv)
+
+	mangle := &ackMangler{eng: eng, dst: conn, data: data}
+	if len(data) > 1 {
+		mangle.data = data[1:]
+	}
+	back.SetDst(mangle)
+	aud.RegisterNet(mangle.sample)
+
+	conn.Start()
+	eng.RunFor(2 * time.Minute)
+	return conn, rcv, aud
+}
+
 // FuzzConnAckProcessing runs a full sender↔receiver transfer where the fuzz
-// input programs the hostile parts of the path: byte 0 sets a random-loss
-// rate on the data direction (forcing SACK recovery and RTOs), the rest
-// schedules ACK drops, delays and reorderings. The runtime invariant
-// auditor rides along, so any sequence-space corruption (sndUna regression,
-// inflight drift, retransmit of a SACKed segment) or packet leak panics the
-// run. This is the fuzz surface for the ACK/SACK state machine.
+// input programs the hostile parts of the path (see mangledTransfer),
+// forcing SACK recovery and RTOs. The runtime invariant auditor rides
+// along, so any sequence-space corruption (sndUna regression, inflight
+// drift, retransmit of a SACKed segment, a segment other than the last
+// that is not MSS long) or packet leak panics the run. This is the fuzz
+// surface for the ACK/SACK state machine.
 func FuzzConnAckProcessing(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -67,35 +115,10 @@ func FuzzConnAckProcessing(f *testing.F) {
 		ramp[i] = byte(i * 2)
 	}
 	f.Add(ramp)
+	f.Add(rtoShortTailSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng := sim.NewEngine(1)
-		aud := audit.New("fuzz-conn-ack")
-		eng.SetAuditor(aud)
-
-		owd := 5 * time.Millisecond
-		back := netem.NewPort(eng, "back", 10*units.GigabitPerSec, owd, nil, nil)
-		bott := netem.NewPort(eng, "bottleneck", 50*units.MegabitPerSec, owd,
-			aqm.NewFIFO(64_000), nil)
-		if len(data) > 0 {
-			bott.SetLoss(float64(data[0]%52) / 256) // up to ~20% data loss
-		}
-
-		cc := &stubCC{fixedCwnd: 0}
-		conn := NewConn(eng, 1, Config{LimitBytes: 120_000}, cc, func(p *packet.Packet) { bott.Send(p) })
-		conn.SetCwnd(32 * conn.MSS())
-		rcv := NewReceiver(eng, 1, Config{}.Header, func(p *packet.Packet) { back.Send(p) })
-		bott.SetDst(rcv)
-
-		mangle := &ackMangler{eng: eng, dst: conn, data: data}
-		if len(data) > 1 {
-			mangle.data = data[1:]
-		}
-		back.SetDst(mangle)
-		aud.RegisterNet(mangle.sample)
-
-		conn.Start()
-		eng.RunFor(2 * time.Minute)
+		conn, rcv, aud := mangledTransfer(data)
 
 		// Whatever the mangler did, the state machine must stay coherent:
 		// the auditor's deep sequence-space walk and the global conservation
@@ -108,13 +131,30 @@ func FuzzConnAckProcessing(f *testing.F) {
 		aud.Finish()
 
 		// The receiver must never have handed up out-of-order data.
-		if g := rcv.Goodput(); g > 120_000 {
-			t.Fatalf("receiver goodput %d exceeds the %d-byte transfer", g, 120_000)
+		if g := rcv.Goodput(); g > fuzzTransferBytes {
+			t.Fatalf("receiver goodput %d exceeds the %d-byte transfer", g, fuzzTransferBytes)
 		}
 		// With no fuzz input the path is clean, so the transfer must finish —
 		// otherwise the harness is broken and every fuzz pass is vacuous.
-		if len(data) == 0 && rcv.Goodput() != 120_000 {
-			t.Fatalf("clean path moved %d of 120000 bytes", rcv.Goodput())
+		if len(data) == 0 && rcv.Goodput() != fuzzTransferBytes {
+			t.Fatalf("clean path moved %d of %d bytes", rcv.Goodput(), fuzzTransferBytes)
 		}
 	})
+}
+
+// TestRTOShortTailSeed: the fuzz seed does what it is there for. It forces
+// an RTO while the short last segment is outstanding, and the transfer
+// still completes.
+func TestRTOShortTailSeed(t *testing.T) {
+	if fuzzTransferBytes%8900 == 0 {
+		t.Fatal("the fuzzed transfer must end in a short segment")
+	}
+	conn, rcv, aud := mangledTransfer(rtoShortTailSeed)
+	aud.Finish()
+	if st := conn.Stats(); st.RTOs == 0 || st.Retransmits == 0 {
+		t.Fatalf("%d RTOs, %d retransmits; the seed must force an RTO", st.RTOs, st.Retransmits)
+	}
+	if g := rcv.Goodput(); g != fuzzTransferBytes {
+		t.Fatalf("moved %d of %d bytes", g, fuzzTransferBytes)
+	}
 }

@@ -13,29 +13,29 @@ import (
 
 func TestSegDequeFind(t *testing.T) {
 	var d segDeque
-	if d.find(0) != nil {
+	if d.find(0, 8900) != nil {
 		t.Fatal("find on empty deque")
 	}
 	for i := int64(0); i < 50; i++ {
-		d.push(&seg{seq: i * 8900, len: 8900})
+		d.push(seg{seq: i * 8900, len: 8900})
 	}
 	// Rotate the ring to exercise wraparound indexing.
 	for i := 0; i < 20; i++ {
 		d.pop()
 	}
 	for i := int64(50); i < 80; i++ {
-		d.push(&seg{seq: i * 8900, len: 8900})
+		d.push(seg{seq: i * 8900, len: 8900})
 	}
 	for i := int64(20); i < 80; i++ {
-		s := d.find(i * 8900)
+		s := d.find(i*8900, 8900)
 		if s == nil || s.seq != i*8900 {
 			t.Fatalf("find(%d) = %v", i*8900, s)
 		}
 	}
-	if d.find(19*8900) != nil {
+	if d.find(19*8900, 8900) != nil {
 		t.Fatal("found popped segment")
 	}
-	if d.find(12345) != nil {
+	if d.find(12345, 8900) != nil {
 		t.Fatal("found nonexistent seq")
 	}
 }

@@ -86,10 +86,6 @@ type Network struct {
 	classes []*class
 	flows   []*Flow
 	nextID  packet.FlowID
-
-	// segs is the segment pool every sender on the network shares, so an
-	// ephemeral flow starts on the records earlier flows returned.
-	segs tcp.SegPool
 }
 
 // Build instantiates spec on eng. Routing is resolved statically per link:
@@ -379,9 +375,6 @@ func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *F
 
 	fwdPort := cl.fwd
 	retPort := cl.ret
-	if tcpCfg.Segs == nil {
-		tcpCfg.Segs = &n.segs
-	}
 	conn := tcp.NewConn(n.Eng, id, tcpCfg, cc, func(p *packet.Packet) { fwdPort.Send(p) })
 	mkRcv := tcp.NewReceiver
 	if tcpCfg.DelayedAck {
