@@ -56,9 +56,11 @@
 #                     (scripts/smoke_obs.sh): tcpfair -fairness prints a
 #                     finite convergence time for a homogeneous CUBIC pair
 #                     and exactly one starvation episode (cubic victim, bbr1
-#                     culprit) for BBRv1-vs-CUBIC in a 4xBDP FIFO; a
-#                     fairness-armed sweep stays byte-identical science to a
-#                     plain one; sweepd's /fairness stream matches the local
+#                     culprit) for BBRv1-vs-CUBIC in a 4xBDP FIFO;
+#                     tcpfair with the interval report and -fairness prints
+#                     the same events count and Jain index as sweep for the
+#                     same config; a fairness-armed sweep stays
+#                     byte-identical science to a plain one; sweepd's /fairness stream matches the local
 #                     `sweep -fairness-out` NDJSON byte for byte; the
 #                     convergence histogram and build_info gauge appear on
 #                     /metrics; cmd/report renders the fairness-dynamics

@@ -89,7 +89,7 @@ type Config struct {
 	Seed           uint64        `json:"seed"`               // replica seed
 	PaperScale     bool          `json:"paper_scale"`        // full 200 s, uncapped flows
 	ECN            bool          `json:"ecn"`                // enable ECN end to end
-	SampleInterval time.Duration `json:"sample_interval_ns"` // throughput series step
+	SampleInterval time.Duration `json:"sample_interval_ns"` // interval-observer cadence; observation-only
 	StartSpread    time.Duration `json:"start_spread_ns"`    // flow start jitter window
 	// PathLoss injects random loss on the forward core segment (the
 	// paper's future-work "network anomalies" scenario).
@@ -238,28 +238,34 @@ func (c Config) ID() string {
 
 // Key returns the configuration's full science identity: a hex digest of
 // the normalized configuration with the fields that cannot change a run's
-// bytes — the watchdog budgets and the observation-only audit bit —
+// bytes — the watchdog budgets, the audit bit and the observation knobs —
 // cleared. Unlike ID, which renders only the grid cell, seed, and fault
 // profile, Key also covers duration, paper scale, RTT, flow counts, ECN,
 // and every other science-affecting field, so two configurations share a
 // Key iff they simulate identically. The checkpoint journal and sweepd's
 // result cache are keyed by it; ID remains the human-readable label.
 func (c Config) Key() string {
-	n := c.Normalize()
+	n := c.Normalize().withoutObservation()
 	n.MaxEvents = 0
 	n.MaxWall = 0
 	n.Audit = false
-	n.Trace = false
-	n.TraceRingCap = 0
-	n.TraceSampleN = 0
-	n.Fairness = false
-	n.FairnessWindow = 0
 	data, err := json.Marshal(n)
 	if err != nil { // Config is plain data; cannot happen
 		panic(err)
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])[:16]
+}
+
+// withoutObservation clears the observation-only knobs of a normalized
+// configuration — trace, fairness and the interval cadence, which is pinned
+// to its 1 s default — so observing a run changes neither its Key nor its
+// recorded config.
+func (c Config) withoutObservation() Config {
+	c.Trace, c.TraceRingCap, c.TraceSampleN = false, 0, 0
+	c.Fairness, c.FairnessWindow = false, 0
+	c.SampleInterval = time.Second
+	return c
 }
 
 // GridOptions controls grid generation.

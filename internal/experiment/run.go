@@ -130,7 +130,9 @@ func (r Result) SenderMbps(i int) float64 { return r.SenderBps[i] / 1e6 }
 
 // Run executes one experiment and returns its result. Each call owns a
 // private engine; Run is safe to invoke from many goroutines at once.
-func Run(cfg Config) (Result, error) {
+// Observers (and the fairness observatory, when Config.Fairness is set)
+// watch the run on one observation clock; they never change its result.
+func Run(cfg Config, obs ...Observer) (Result, error) {
 	cfg = cfg.Normalize()
 	start := time.Now()
 
@@ -155,13 +157,11 @@ func Run(cfg Config) (Result, error) {
 		})
 		eng.SetTracer(trc)
 	}
-	// The trace knobs are observation-only and excluded from Config.Key();
-	// scrub them from the recorded config too, so a traced result serializes
-	// byte-identically to an untraced one everywhere results land (result
+	// The observation knobs are excluded from Config.Key(); scrub them from
+	// the recorded config too, so an observed result serializes
+	// byte-identically to a plain one everywhere results land (result
 	// files, the sweepd cache, checkpoint journals).
-	recCfg := cfg
-	recCfg.Trace, recCfg.TraceRingCap, recCfg.TraceSampleN = false, 0, 0
-	recCfg.Fairness, recCfg.FairnessWindow = false, 0
+	recCfg := cfg.withoutObservation()
 	net, err := BuildNet(eng, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("experiment %s: %w", cfg.ID(), err)
@@ -174,6 +174,7 @@ func Run(cfg Config) (Result, error) {
 	// perturb the other, which is what keeps both the legacy elephant
 	// bytes and the arrival schedule reproducible. A SoloFCT baseline
 	// attaches no long-running flows at all.
+	var starts []time.Duration
 	if !cfg.SoloFCT {
 		for ci := 0; ci < net.NumClasses(); ci++ {
 			name := ClassCCA(cfg, net.ClassSpec(ci), ci)
@@ -184,8 +185,8 @@ func Run(cfg Config) (Result, error) {
 				}
 				f := net.AddFlow(ci, tcp.Config{ECN: cfg.ECN, DelayedAck: cfg.DelayedAck}, cc)
 				delay := workload.StartJitter(eng.RNG(), cfg.StartSpread)
-				conn := f.Conn
-				eng.Schedule(delay, conn.Start)
+				eng.Schedule(delay, f.Conn.Start)
+				starts = append(starts, delay)
 			}
 		}
 	}
@@ -201,9 +202,10 @@ func Run(cfg Config) (Result, error) {
 		}
 		fr.Start()
 	}
-	fsam := AttachFairness(eng, net, cfg)
-
-	eng.RunFor(cfg.Duration)
+	if cfg.Fairness {
+		obs = append([]Observer{&fairnessObserver{}}, obs...)
+	}
+	runObserved(eng, &Live{Cfg: cfg, Net: net, Starts: starts}, obs)
 	if werr := eng.Overrun(); werr != nil {
 		return Result{Config: recCfg, Error: werr.Error(), Events: eng.Executed(),
 				Wall: time.Since(start)},
@@ -265,34 +267,12 @@ func Run(cfg Config) (Result, error) {
 	if fr != nil {
 		res.FCT = FCTFromRunner(fr)
 	}
-	if fsam != nil {
-		res.Fairness = fsam.Report(metrics.DefaultDetector())
-		// The sampler's timer ticks executed on the engine; subtract them
-		// so the event-count fingerprint matches an observatory-off run.
-		res.Events -= fsam.Ticks()
+	for _, o := range obs {
+		if err := o.Finish(&res); err != nil {
+			return res, fmt.Errorf("experiment %s: %w", cfg.ID(), err)
+		}
 	}
 	return res, nil
-}
-
-// AttachFairness arms the fairness observatory on a built network when the
-// configuration asks for it, tracking every long-running flow (open-loop
-// ephemeral flows are churn, not elephants — they are not in net.Flows()
-// and stay out of the fairness series). Returns nil when Config.Fairness
-// is off: the disabled path installs no timer and no per-packet work at
-// all, so it is provably free, like tracing. Call after all flows attach
-// and before the engine runs.
-func AttachFairness(eng *sim.Engine, net *topo.Network, cfg Config) *metrics.FairnessSampler {
-	if !cfg.Fairness {
-		return nil
-	}
-	fsam := metrics.NewFairnessSampler(eng, cfg.FairnessWindow, cfg.Duration, cfg.Bottleneck)
-	for _, f := range net.Flows() {
-		conn, rcv := f.Conn, f.Rcv
-		fsam.TrackFlow(uint32(f.ID), f.CCName, f.Sender, rcv.Goodput,
-			func() uint64 { return conn.Stats().Retransmits })
-	}
-	fsam.Start()
-	return fsam
 }
 
 // BuildNet instantiates the config's topology (Config.Topology, or the

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -158,31 +157,28 @@ type fairProbe struct {
 	share   []float64
 }
 
-// FairnessSampler drives the observatory: a persistent sim.Timer fires at a
-// fixed window cadence, reading each tracked flow's cumulative goodput and
-// retransmit counters and appending windowed shares to preallocated rings.
-// All series are sized for the run horizon up front, so steady-state
-// sampling performs no allocation — the observatory rides inside the
+// FairnessSampler is the observatory's state: each Sample closes one
+// window, reading every tracked flow's cumulative goodput and retransmit
+// counters and appending windowed shares to preallocated rings. The caller
+// calls Sample at every multiple of the window, with the simulation clock
+// at exactly that time; the sampler schedules nothing on the engine. All
+// series are sized for the run horizon up front, so steady-state sampling
+// performs no allocation — the observatory rides inside the
 // ≤1 alloc/forwarded-packet budget.
 type FairnessSampler struct {
-	eng        *sim.Engine
 	window     time.Duration
 	bottleneck units.Bandwidth
 	capacity   int
 	flows      []fairProbe
 	jain       []float64
 	retx       []float64
-	scratch    []float64 // per-flow window deltas, reused every tick
-	ticks      uint64
-	stopped    bool
-	timer      sim.Timer
+	scratch    []float64 // per-flow window deltas, reused every window
 }
 
-// NewFairnessSampler creates a sampler ticking every window (0 = the
+// NewFairnessSampler creates a sampler with the given window (0 = the
 // default cadence) over a run of the given horizon on a bottleneck of the
-// given rate. Track flows with TrackFlow, then Start before running the
-// engine.
-func NewFairnessSampler(eng *sim.Engine, window, horizon time.Duration, bottleneck units.Bandwidth) *FairnessSampler {
+// given rate. Track flows with TrackFlow before the first Sample.
+func NewFairnessSampler(window, horizon time.Duration, bottleneck units.Bandwidth) *FairnessSampler {
 	if window <= 0 {
 		window = DefaultFairnessWindow
 	}
@@ -190,29 +186,20 @@ func NewFairnessSampler(eng *sim.Engine, window, horizon time.Duration, bottlene
 	if horizon > 0 {
 		capacity += int(horizon / window)
 	}
-	fs := &FairnessSampler{
-		eng:        eng,
+	return &FairnessSampler{
 		window:     window,
 		bottleneck: bottleneck,
 		capacity:   capacity,
 		jain:       make([]float64, 0, capacity),
 		retx:       make([]float64, 0, capacity),
 	}
-	fs.timer.Init(eng, fs, nil)
-	return fs
 }
 
 // Window returns the effective sampling cadence.
 func (fs *FairnessSampler) Window() time.Duration { return fs.window }
 
-// Ticks returns the number of sampler timer events the engine executed.
-// The runner subtracts this from the result's event count so the
-// serialized science — including the determinism fingerprint — is
-// byte-identical with the observatory on or off.
-func (fs *FairnessSampler) Ticks() uint64 { return fs.ticks }
-
 // TrackFlow registers one flow's cumulative goodput and retransmit readers.
-// Must be called before Start.
+// Must be called before the first Sample.
 func (fs *FairnessSampler) TrackFlow(id uint32, cca string, class int, goodput func() int64, retx func() uint64) {
 	fs.flows = append(fs.flows, fairProbe{
 		id:      id,
@@ -225,27 +212,11 @@ func (fs *FairnessSampler) TrackFlow(id uint32, cca string, class int, goodput f
 		firstOn: -1,
 		share:   make([]float64, 0, fs.capacity),
 	})
+	fs.scratch = append(fs.scratch, 0)
 }
 
-// Start arms the window timer. Call after every TrackFlow.
-func (fs *FairnessSampler) Start() {
-	fs.scratch = make([]float64, len(fs.flows))
-	fs.timer.Reset(fs.window)
-}
-
-// Stop ends sampling.
-func (fs *FairnessSampler) Stop() {
-	fs.stopped = true
-	fs.timer.Stop()
-}
-
-// OnEvent implements sim.Handler: close one window and rearm. The hot loop
-// touches only preallocated storage.
-func (fs *FairnessSampler) OnEvent(any) {
-	fs.ticks++
-	if fs.stopped {
-		return
-	}
+// Sample closes one window. The hot loop touches only preallocated storage.
+func (fs *FairnessSampler) Sample() {
 	winSec := fs.window.Seconds()
 	var retxDelta uint64
 	for i := range fs.flows {
@@ -274,7 +245,6 @@ func (fs *FairnessSampler) OnEvent(any) {
 	// unknown or zero.
 	fs.jain = append(fs.jain, Jain(fs.scratch))
 	fs.retx = append(fs.retx, float64(retxDelta)/winSec)
-	fs.timer.Reset(fs.window)
 }
 
 // Report closes the observatory and runs every detector, returning the

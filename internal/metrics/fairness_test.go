@@ -184,6 +184,17 @@ func (f *feedCounter) run() {
 	f.eng.Schedule(f.period, f.run)
 }
 
+// runSampled drives eng for d in window-long RunUntil slices and closes one
+// sampler window between slices, the way experiment.Run's observation
+// clock does.
+func runSampled(eng *sim.Engine, fs *FairnessSampler, d time.Duration) {
+	w := sim.Duration(fs.Window())
+	for t := w; t <= sim.Duration(d); t += w {
+		eng.RunUntil(t)
+		fs.Sample()
+	}
+}
+
 func TestFairnessSamplerStaggeredKnownValues(t *testing.T) {
 	eng := sim.NewEngine(1)
 	// Flow 1 delivers 125 kB / 10 ms (100 Mbps) from t=0; flow 2 the same
@@ -193,11 +204,10 @@ func TestFairnessSamplerStaggeredKnownValues(t *testing.T) {
 	eng.Schedule(10*time.Millisecond, f1.run)
 	eng.Schedule(10*time.Millisecond, f2.run)
 
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, 3*time.Second, 200*units.MegabitPerSec)
+	fs := NewFairnessSampler(100*time.Millisecond, 3*time.Second, 200*units.MegabitPerSec)
 	fs.TrackFlow(1, "cubic", 0, func() int64 { return f1.val }, func() uint64 { return 0 })
 	fs.TrackFlow(2, "cubic", 1, func() int64 { return f2.val }, func() uint64 { return 0 })
-	fs.Start()
-	eng.RunFor(3 * time.Second)
+	runSampled(eng, fs, 3*time.Second)
 
 	rep := fs.Report(DefaultDetector())
 	if rep.Windows != 30 {
@@ -210,13 +220,18 @@ func TestFairnessSamplerStaggeredKnownValues(t *testing.T) {
 	if rep.Jain[15] != 1 || rep.FinalJain != 1 {
 		t.Errorf("duo-phase Jain = %v final %v, want 1", rep.Jain[15], rep.FinalJain)
 	}
-	// Flow 2 first delivers in window index 10 → ActiveFrom 1s; the
-	// convergence scan starts there, so the pre-start solo windows (all
-	// 0.5) cannot have converged the run. Jain is fair from the first
-	// scanned window, and ConvergenceTime reports the end of the first
-	// window of the sustained stretch → 1.1s.
-	if rep.ActiveFrom != time.Second {
-		t.Errorf("ActiveFrom = %v, want 1s", rep.ActiveFrom)
+	// A window closes after every event due at its end, so flow 2's first
+	// delivery at exactly t=1s lands in window index 9, (0.9s, 1s] →
+	// ActiveFrom 0.9s. The convergence scan starts there, so the pre-start
+	// solo windows (all 0.5) cannot have converged the run. Window 9 holds
+	// one step of flow 2 against ten of flow 1, so it is unfair; Jain is
+	// fair from window 10 on, and ConvergenceTime reports the end of the
+	// first window of the sustained stretch → 1.1s.
+	if rep.ActiveFrom != 900*time.Millisecond {
+		t.Errorf("ActiveFrom = %v, want 0.9s", rep.ActiveFrom)
+	}
+	if rep.Jain[9] >= 0.95 {
+		t.Errorf("Jain[9] = %v, want the unfair first shared window", rep.Jain[9])
 	}
 	if !rep.Converged || rep.ConvergenceTime != 1100*time.Millisecond {
 		t.Errorf("convergence = (%v, %v), want (1.1s, true)", rep.ConvergenceTime, rep.Converged)
@@ -228,8 +243,8 @@ func TestFairnessSamplerStaggeredKnownValues(t *testing.T) {
 	if got := rep.Flows[1].Share[3]; got != 0 {
 		t.Errorf("flow 2 pre-start share = %v, want 0", got)
 	}
-	if !rep.Flows[1].Active || rep.Flows[1].FirstActive != 1100*time.Millisecond {
-		t.Errorf("flow 2 FirstActive = %v (active=%v), want 1.1s", rep.Flows[1].FirstActive, rep.Flows[1].Active)
+	if !rep.Flows[1].Active || rep.Flows[1].FirstActive != time.Second {
+		t.Errorf("flow 2 FirstActive = %v (active=%v), want 1s", rep.Flows[1].FirstActive, rep.Flows[1].Active)
 	}
 	if len(rep.Episodes) != 0 {
 		t.Errorf("episodes = %+v, want none (flow 2 scanned only from its start)", rep.Episodes)
@@ -240,10 +255,9 @@ func TestFairnessSamplerSingleFlow(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f1 := &feedCounter{eng: eng, step: 125_000, period: 10 * time.Millisecond}
 	eng.Schedule(10*time.Millisecond, f1.run)
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, 2*time.Second, 100*units.MegabitPerSec)
+	fs := NewFairnessSampler(100*time.Millisecond, 2*time.Second, 100*units.MegabitPerSec)
 	fs.TrackFlow(1, "cubic", 0, func() int64 { return f1.val }, func() uint64 { return 0 })
-	fs.Start()
-	eng.RunFor(2 * time.Second)
+	runSampled(eng, fs, 2*time.Second)
 
 	rep := fs.Report(DefaultDetector())
 	// One flow is trivially fair: Jain ≡ 1, no episodes.
@@ -259,10 +273,9 @@ func TestFairnessSamplerSingleFlow(t *testing.T) {
 }
 
 func TestFairnessSamplerZeroLengthRun(t *testing.T) {
-	eng := sim.NewEngine(1)
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, 0, 100*units.MegabitPerSec)
+	fs := NewFairnessSampler(100*time.Millisecond, 0, 100*units.MegabitPerSec)
 	fs.TrackFlow(1, "cubic", 0, func() int64 { return 0 }, func() uint64 { return 0 })
-	// Engine never runs: zero windows.
+	// Never sampled: zero windows.
 	rep := fs.Report(DefaultDetector())
 	if rep.Windows != 0 || len(rep.Jain) != 0 {
 		t.Fatalf("zero-length run: windows = %d", rep.Windows)
@@ -280,11 +293,10 @@ func TestFairnessSamplerZeroThroughputGuard(t *testing.T) {
 	eng := sim.NewEngine(1)
 	// Two flows that never deliver a byte, on a zero-rate bottleneck: no
 	// division blows up, every window is trivially fair, nothing is NaN.
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, time.Second, 0)
+	fs := NewFairnessSampler(100*time.Millisecond, time.Second, 0)
 	fs.TrackFlow(1, "cubic", 0, func() int64 { return 0 }, func() uint64 { return 0 })
 	fs.TrackFlow(2, "cubic", 1, func() int64 { return 0 }, func() uint64 { return 0 })
-	fs.Start()
-	eng.RunFor(time.Second)
+	runSampled(eng, fs, time.Second)
 
 	rep := fs.Report(DefaultDetector())
 	if rep.Windows == 0 {
@@ -310,20 +322,6 @@ func TestFairnessSamplerZeroThroughputGuard(t *testing.T) {
 	}
 }
 
-func TestFairnessSamplerStop(t *testing.T) {
-	eng := sim.NewEngine(1)
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, 2*time.Second, 100*units.MegabitPerSec)
-	fs.TrackFlow(1, "cubic", 0, func() int64 { return 0 }, func() uint64 { return 0 })
-	fs.Start()
-	eng.RunFor(time.Second)
-	fs.Stop()
-	n := len(fs.jain)
-	eng.RunFor(time.Second)
-	if len(fs.jain) != n {
-		t.Fatal("sampler kept running after Stop")
-	}
-}
-
 func TestFairnessSamplerRetxRate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var retx uint64
@@ -333,18 +331,18 @@ func TestFairnessSamplerRetxRate(t *testing.T) {
 		eng.Schedule(100*time.Millisecond, feed)
 	}
 	eng.Schedule(100*time.Millisecond, feed)
-	fs := NewFairnessSampler(eng, 100*time.Millisecond, time.Second, 100*units.MegabitPerSec)
+	fs := NewFairnessSampler(100*time.Millisecond, time.Second, 100*units.MegabitPerSec)
 	fs.TrackFlow(1, "cubic", 0, func() int64 { return 0 }, func() uint64 { return retx })
-	fs.Start()
-	eng.RunFor(time.Second)
+	runSampled(eng, fs, time.Second)
 	rep := fs.Report(DefaultDetector())
-	if len(rep.RetxRate) == 0 {
-		t.Fatal("no retx windows")
+	if len(rep.RetxRate) != 10 {
+		t.Fatalf("retx windows = %d, want 10", len(rep.RetxRate))
 	}
-	// Skip the first window (event-order transient); the rest must be 30/s.
-	for i, r := range rep.RetxRate[1:] {
+	// Each window closes after the feed due at its end, so every window,
+	// the first included, holds exactly one feed: 30/s.
+	for i, r := range rep.RetxRate {
 		if math.Abs(r-30) > 1e-9 {
-			t.Fatalf("retx rate[%d] = %v, want 30/s", i+1, r)
+			t.Fatalf("retx rate[%d] = %v, want 30/s", i, r)
 		}
 	}
 }

@@ -362,12 +362,14 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(end Time) {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		if e.budgeted && e.checkBudget() {
-			return // overrun: leave the clock where the watchdog fired
-		}
 		next := e.queue[0]
 		if next.at > end {
 			break
+		}
+		// The budget is checked only for an event that would run, so a run
+		// that needs exactly maxEvents events completes.
+		if e.budgeted && e.checkBudget() {
+			return // overrun: leave the clock where the watchdog fired
 		}
 		if e.aud != nil && next.at < e.now {
 			e.aud.Failf("sim", "time-monotone",

@@ -581,6 +581,39 @@ func TestBudgetEventLimit(t *testing.T) {
 	}
 }
 
+// TestBudgetExactFitCompletes: a run that needs exactly the event budget
+// completes — an event past the deadline is not due, so it cannot trip the
+// watchdog — while one event fewer of budget is an overrun.
+func TestBudgetExactFitCompletes(t *testing.T) {
+	run := func(budget uint64) (*Engine, int) {
+		eng := NewEngine(1)
+		eng.SetBudget(budget, 0)
+		var fired int
+		var rearm func()
+		rearm = func() {
+			fired++
+			eng.Schedule(time.Millisecond, rearm)
+		}
+		eng.Schedule(time.Millisecond, rearm)
+		eng.RunUntil(Duration(10 * time.Millisecond))
+		return eng, fired
+	}
+	eng, fired := run(10)
+	if err := eng.Overrun(); err != nil {
+		t.Fatalf("budget of exactly 10 events tripped the watchdog: %v", err)
+	}
+	if fired != 10 || eng.Now() != Duration(10*time.Millisecond) {
+		t.Fatalf("fired %d events, clock %v; want 10 events and the clock at 10ms", fired, eng.Now())
+	}
+	if eng.Pending() != 1 {
+		t.Fatalf("pending = %d, want the next tick still queued", eng.Pending())
+	}
+	eng, fired = run(9)
+	if eng.Overrun() == nil || fired != 9 {
+		t.Fatalf("budget of 9 for a 10-event run: overrun=%v fired=%d, want an overrun after 9", eng.Overrun(), fired)
+	}
+}
+
 // TestBudgetWallLimit: the wall budget is checked every 2^16 events, so an
 // already-expired budget must trip once the event count crosses that mark.
 func TestBudgetWallLimit(t *testing.T) {

@@ -9,14 +9,17 @@
 #   2. the paper's central unfairness case — BBRv1 vs CUBIC in a deep
 #      (4xBDP) FIFO — reports exactly one starvation episode with the CUBIC
 #      flow as victim and the BBR flow as culprit;
-#   3. a fairness-armed sweep served by sweepd is byte-identical on
+#   3. tcpfair with the interval report on and -fairness prints the same
+#      event count and Jain index as sweep for the same config: observers
+#      never change a result;
+#   4. a fairness-armed sweep served by sweepd is byte-identical on
 #      /v1/sweeps/{id}/fairness to the NDJSON `sweep -fairness-out` writes
 #      locally for the same grid, and the armed results themselves stay
 #      byte-identical science (modulo wall_ns) to a plain run;
-#   4. cmd/report renders the fairness-dynamics table from the armed result
+#   5. cmd/report renders the fairness-dynamics table from the armed result
 #      set, and the daemon /metrics exposes the convergence histogram and
 #      the build_info gauge;
-#   5. cmd/timeline renders a jain(t) sparkline from recorded telemetry.
+#   6. cmd/timeline renders a jain(t) sparkline from recorded telemetry.
 #
 # Nonzero exit on any mismatch.
 set -eu
@@ -65,6 +68,22 @@ grep -q 'episodes: 1' "$tmp/bbr.txt" ||
     fail "deep-FIFO BBR-vs-CUBIC did not report exactly one starvation episode"
 grep -q 'flow 2 (cubic) starved .* culprits \[1\]' "$tmp/bbr.txt" ||
     fail "episode line missing the cubic victim or the bbr1 culprit"
+
+echo "smoke-obs: tcpfair with observers agrees with sweep on events and Jain" >&2
+"$tmp/tcpfair" -bw 100Mbps -queue 2 -aqm fifo -cca1 bbr1 -cca2 cubic -duration 3s \
+    -seed 1 -fairness >"$tmp/cli.txt"
+grep -q '^\[   1.00s\] sender1(bbr1 ' "$tmp/cli.txt" ||
+    fail "tcpfair printed no interval report"
+"$tmp/sweep" -bws 100Mbps -queues 2 -aqms fifo -pairings bbr1:cubic -duration 3s \
+    -seeds 1 -quiet -strict -out "$tmp/one.json" >/dev/null
+cli_events=$(sed -n 's/^events  *\([0-9]*\) in .*/\1/p' "$tmp/cli.txt")
+cli_jain=$(sed -n 's/^Jain index  *\([0-9.]*\)$/\1/p' "$tmp/cli.txt")
+sweep_events=$(sed -n 's/^ *"events": \([0-9]*\),$/\1/p' "$tmp/one.json")
+sweep_jain=$(printf '%.4f' "$(sed -n 's/^ *"jain": \([0-9.eE+-]*\),$/\1/p' "$tmp/one.json")")
+[ -n "$cli_events" ] && [ "$cli_events" = "$sweep_events" ] ||
+    fail "events differ: tcpfair $cli_events, sweep $sweep_events"
+[ -n "$cli_jain" ] && [ "$cli_jain" = "$sweep_jain" ] ||
+    fail "Jain index differs: tcpfair $cli_jain, sweep $sweep_jain"
 
 SPEC="-bws 50Mbps -queues 2,4 -aqms fifo -pairings bbr1:cubic -duration 2s"
 
@@ -134,4 +153,4 @@ echo "smoke-obs: jain(t) sparkline via cmd/timeline" >&2
 grep -q 'jain(t)' "$tmp/timeline.txt" ||
     fail "cmd/timeline rendered no jain(t) sparkline"
 
-echo "smoke-obs: OK (convergence + starvation scenarios, served = local fairness stream, science bytes unchanged, report/metrics/timeline rendered)" >&2
+echo "smoke-obs: OK (convergence + starvation scenarios, CLI = sweep events and Jain, served = local fairness stream, science bytes unchanged, report/metrics/timeline rendered)" >&2
